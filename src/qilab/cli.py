@@ -11,38 +11,26 @@ nonzero exit status.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bell, density, dynamics, info, lattice, oscillators, qstate
 
-__all__ = ["RunConfig", "main"]
-
-
-@dataclass
-class RunConfig:
-    """One resolved CLI invocation."""
-
-    subcommand: str
-    seed: int
-    shots: int
-    out_dir: str
-    fmt: str
-    overrides: dict = field(default_factory=dict)
+__all__ = ["main"]
 
 
 def _fnum(v) -> str:
     return repr(float(v))
 
 
-def _write(cfg: RunConfig, name: str, text: str) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, name)
+def _write(args: argparse.Namespace, name: str, text: str) -> str:
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, name)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     return path
@@ -52,8 +40,8 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _table_text(cfg: RunConfig, columns, rows) -> str:
-    if cfg.fmt == "csv":
+def _table_text(args: argparse.Namespace, columns, rows) -> str:
+    if args.format == "csv":
         lines = [",".join(columns)]
         lines += [",".join(_fnum(v) for v in row) for row in rows]
         return "\n".join(lines) + "\n"
@@ -61,19 +49,20 @@ def _table_text(cfg: RunConfig, columns, rows) -> str:
                        "rows": [[float(v) for v in row] for row in rows]})
 
 
-def _emit_table(cfg: RunConfig, columns, rows, extra: dict | None = None) -> dict:
+def _emit_table(args: argparse.Namespace, columns, rows,
+                extra: dict | None = None) -> dict:
     """Write the table for this subcommand; extra merges into a JSON payload."""
-    name = cfg.subcommand
-    if cfg.fmt == "json" and extra is not None:
+    name = args.subcommand
+    if args.format == "json" and extra is not None:
         payload = dict(extra)
         payload["columns"] = list(columns)
         payload["rows"] = [[float(v) for v in row] for row in rows]
-        path = _write(cfg, f"{name}.json", _json_text(payload))
+        path = _write(args, f"{name}.json", _json_text(payload))
         return {"file": path, "rows": len(rows)}
-    path = _write(cfg, f"{name}.{cfg.fmt}", _table_text(cfg, columns, rows))
+    path = _write(args, f"{name}.{args.format}", _table_text(args, columns, rows))
     out = {"file": path, "rows": len(rows)}
     if extra is not None:
-        side = _write(cfg, f"{name}.json", _json_text(extra))
+        side = _write(args, f"{name}.json", _json_text(extra))
         out["sidecar"] = side
     return out
 
@@ -105,27 +94,27 @@ def _pure_state(circuit) -> qstate.StateVector:
 # experiment transcripts
 
 
-def _experiment1(cfg: RunConfig) -> str:
+def _experiment1(args: argparse.Namespace) -> str:
     circuit = qstate.flip_circuit()
-    record = qstate.run_circuit(circuit, cfg.shots, cfg.seed)
+    record = qstate.run_circuit(circuit, args.shots, args.seed)
     bv = qstate.bloch_vector(_pure_state(circuit), 0)
     lines = [
         "Bloch Sphere of the qubit in the final state:", "",
         _bloch_text(bv), "",
         "Circuit:", "",
         qstate.render_circuit(circuit), "",
-        f"Results of {cfg.shots} trials:", "",
+        f"Results of {args.shots} trials:", "",
         "Final state=" + record.qubit_stream("Final state", 0),
     ]
-    _write(cfg, "experiment1.json", record.to_json() + "\n")
+    _write(args, "experiment1.json", record.to_json() + "\n")
     transcript = "\n".join(lines) + "\n"
-    _write(cfg, "experiment1.txt", transcript)
+    _write(args, "experiment1.txt", transcript)
     return transcript
 
 
-def _experiment2(cfg: RunConfig) -> str:
+def _experiment2(args: argparse.Namespace) -> str:
     circuit = qstate.bell_pair_circuit()
-    record = qstate.run_circuit(circuit, cfg.shots, cfg.seed)
+    record = qstate.run_circuit(circuit, args.shots, args.seed)
     final = _pure_state(circuit)
     lines = []
     for q in range(2):
@@ -139,45 +128,36 @@ def _experiment2(cfg: RunConfig) -> str:
         "Results:", "",
         "Final state=" + streams,
     ]
-    _write(cfg, "experiment2.json", record.to_json() + "\n")
+    _write(args, "experiment2.json", record.to_json() + "\n")
     transcript = "\n".join(lines) + "\n"
-    _write(cfg, "experiment2.txt", transcript)
+    _write(args, "experiment2.txt", transcript)
     return transcript
 
 
-def _exchange_display_circuit():
-    # The printed header shows the preparation symbolically as X^t.
-    c = qstate.Circuit(2)
-    c.add_gate("H", [0])
-    symbolic = qstate.Gate("X^t", (), qstate.standard_gate("X").matrix)
-    c.steps.append(qstate.GateStep(symbolic, (1,), None))
-    c.add_gate("CNOT", [0, 1]).add_gate("CNOT", [1, 0]).add_gate("CNOT", [0, 1])
-    c.add_measure([1], "q1").add_measure([0], "q0")
-    return c
-
-
-def _experiment3(cfg: RunConfig) -> str:
-    lines = ["Circuit:", "", qstate.render_circuit(_exchange_display_circuit())]
+def _experiment3(args: argparse.Namespace) -> str:
+    # The printed header shows the preparation symbolically as X^t, which
+    # has the width of the X^1 label it replaces.
+    header = qstate.render_circuit(qstate.exchange_circuit(1.0))
+    lines = ["Circuit:", "", header.replace("X^1", "X^t")]
     records = []
     for k, t in enumerate((0.0, 1.0, 0.5)):
-        record = qstate.run_circuit(qstate.exchange_circuit(t), cfg.shots,
-                                    cfg.seed + k)
+        record = qstate.run_circuit(qstate.exchange_circuit(t), args.shots,
+                                    args.seed + k)
         records.append({"t": t} | json.loads(record.to_json()))
         lines += ["", f"Results for t = {t:g}:", ""]
         for key in ("q0", "q1"):
             lines.append(f"{key}=" + record.qubit_stream(key, 0))
-    _write(cfg, "experiment3.json", _json_text({"runs": records}))
+    _write(args, "experiment3.json", _json_text({"runs": records}))
     transcript = "\n".join(lines) + "\n"
-    _write(cfg, "experiment3.txt", transcript)
+    _write(args, "experiment3.txt", transcript)
     return transcript
 
 
-def _teleport_transcript(cfg: RunConfig, deferred: bool) -> str:
+def _teleport_transcript(args: argparse.Namespace, deferred: bool) -> str:
     a, b = 0.103, 0.456
-    name = "experiment5" if deferred else "experiment4"
     circuit = qstate.teleport_circuit(a, b, deferred)
-    result = qstate.teleport((a, b), deferred, cfg.seed)
-    record = qstate.run_circuit(circuit, max(cfg.shots, 1), cfg.seed)
+    result = qstate.teleport((a, b), deferred, args.seed)
+    record = qstate.run_circuit(circuit, args.shots, args.seed)
     lines = [
         "Circuit:", "",
         qstate.render_circuit(circuit, wire_names=["msg", "qalice", "qbob"]), "",
@@ -188,27 +168,19 @@ def _teleport_transcript(cfg: RunConfig, deferred: bool) -> str:
         "Bloch Sphere of the Message qubit in the final state:", "",
         _bloch_text(result.message_final),
     ]
-    _write(cfg, f"{name}.json", record.to_json() + "\n")
+    _write(args, f"{args.subcommand}.json", record.to_json() + "\n")
     transcript = "\n".join(lines) + "\n"
-    _write(cfg, f"{name}.txt", transcript)
+    _write(args, f"{args.subcommand}.txt", transcript)
     return transcript
-
-
-def _experiment4(cfg: RunConfig) -> str:
-    return _teleport_transcript(cfg, deferred=False)
-
-
-def _experiment5(cfg: RunConfig) -> str:
-    return _teleport_transcript(cfg, deferred=True)
 
 
 # ---------------------------------------------------------------------------
 # figure data
 
 
-def _coinflip(cfg: RunConfig) -> str:
+def _coinflip(args: argparse.Namespace) -> str:
     p, s = info.biased_coin_curve(101)
-    out = _emit_table(cfg, ["p", "entropy"], list(zip(p, s)))
+    out = _emit_table(args, ["p", "entropy"], list(zip(p, s)))
     return _json_text(out)
 
 
@@ -224,6 +196,12 @@ def _reduced_rows(h, t_grid, rho0, keep):
     return rows
 
 
+def _time_grid(t_max: float) -> np.ndarray:
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise ValueError(f"t_max must be finite and positive, got {t_max}")
+    return np.linspace(0.0, t_max, 400)
+
+
 _RHO_COLUMNS = [
     "t", "entropy_bits", "purity", "offdiag_abs",
     "rho00_re", "rho00_im", "rho01_re", "rho01_im",
@@ -231,23 +209,21 @@ _RHO_COLUMNS = [
 ]
 
 
-def _rabi(cfg: RunConfig) -> str:
-    t_max = cfg.overrides.get("t_max") or 2.0 * math.pi
-    grid = np.linspace(0.0, t_max, 400)
+def _rabi(args: argparse.Namespace) -> str:
+    grid = _time_grid(args.t_max)
     rho0 = density.from_statevector(qstate.StateVector.computational([0, 1]))
     rows = _reduced_rows(dynamics.rabi_hamiltonian(), grid, rho0, [0])
-    out = _emit_table(cfg, _RHO_COLUMNS, rows)
+    out = _emit_table(args, _RHO_COLUMNS, rows)
     return _json_text(out)
 
 
-def _decohere(cfg: RunConfig) -> str:
-    t_max = cfg.overrides.get("t_max") or 20.0
-    grid = np.linspace(0.0, t_max, 400)
+def _decohere(args: argparse.Namespace) -> str:
+    grid = _time_grid(args.t_max)
     plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
     amps = np.kron(np.kron(plus, [1.0, 0.0]), [0.0, 1.0]).astype(complex)
     rho0 = density.from_statevector(qstate.StateVector(3, amps))
     rows = _reduced_rows(dynamics.decoherence_hamiltonian(), grid, rho0, [0])
-    out = _emit_table(cfg, _RHO_COLUMNS, rows)
+    out = _emit_table(args, _RHO_COLUMNS, rows)
     return _json_text(out)
 
 
@@ -256,7 +232,7 @@ def _matrix_payload(m: np.ndarray) -> dict:
             "im": [[float(v.imag) for v in row] for row in m]}
 
 
-def _kraus(cfg: RunConfig) -> str:
+def _kraus(args: argparse.Namespace) -> str:
     h = dynamics.measurement_hamiltonian()
     ks = dynamics.kraus_extract(h, 1.0)
     p11, p12, p21, p22 = ks.p_matrices()
@@ -271,52 +247,50 @@ def _kraus(cfg: RunConfig) -> str:
         "completeness_defect": ks.completeness_defect(),
         "entropy_bits": sample.entropy_bits,
     }
-    path = _write(cfg, "kraus.json", _json_text(payload))
+    path = _write(args, "kraus.json", _json_text(payload))
     return _json_text({"file": path, "entropy_bits": sample.entropy_bits})
 
 
-def _chsh(cfg: RunConfig) -> str:
-    alpha = cfg.overrides.get("alpha")
+def _chsh(args: argparse.Namespace) -> str:
+    alpha = args.alpha
     alphas = [alpha] if alpha is not None else np.linspace(0.0, math.pi / 2, 101)
     rows = bell.violation_curve(alphas)
-    out = _emit_table(cfg, ["alpha", "entropy", "violation"], rows)
+    out = _emit_table(args, ["alpha", "entropy", "violation"], rows)
     if alpha is not None:
         out["violation"] = rows[0][2]
     return _json_text(out)
 
 
-def _tfd(cfg: RunConfig) -> str:
-    theta = cfg.overrides.get("theta")
+def _tfd(args: argparse.Namespace) -> str:
+    theta = args.theta
     thetas = [theta] if theta is not None else np.linspace(0.05, 1.55, 151)
     rows = []
     for th in thetas:
         pair = oscillators.tfd_pair(float(th))
         rows.append([float(th), pair.s_exact, pair.s_approx])
-    out = _emit_table(cfg, ["theta", "s_exact", "s_approx"], rows)
+    out = _emit_table(args, ["theta", "s_exact", "s_approx"], rows)
     return _json_text(out)
 
 
-def _arealaw(cfg: RunConfig) -> str:
-    n = cfg.overrides.get("n") or 60
-    l_max = cfg.overrides.get("lmax") or 300
-    curve = oscillators.area_law_scan(n, l_max)
+def _arealaw(args: argparse.Namespace) -> str:
+    curve = oscillators.area_law_scan(args.n, args.lmax)
     sidecar = {
         "N": curve.n,
         "l_max": curve.l_max,
         "lambda": curve.fit_lambda,
         "fit_range": [0.0, curve.fit_fraction * (curve.n + 0.5)],
     }
-    out = _emit_table(cfg, ["r", "S"], [list(s) for s in curve.samples],
+    out = _emit_table(args, ["r", "S"], [list(s) for s in curve.samples],
                       extra=sidecar)
     out["lambda"] = curve.fit_lambda
     return _json_text(out)
 
 
-def _hermite(cfg: RunConfig) -> str:
-    n_q = cfg.overrides.get("nq") or 3
+def _hermite(args: argparse.Namespace) -> str:
+    n_q = args.nq
+    fieldinfo = lattice.digitize(n_q)
     size = 2**n_q
     length = lattice.nyquist_L(size)
-    fieldinfo = lattice.digitize(n_q)
     levels = min(size // 2, 16)
     reports = lattice.sampling_fidelity(n_q, levels)
     xs = np.linspace(-length, length, 401)
@@ -336,15 +310,13 @@ def _hermite(cfg: RunConfig) -> str:
         "fidelity": [{"level": r.level, "max_error": r.max_error,
                       "infidelity": r.infidelity} for r in reports],
     }
-    out = _emit_table(cfg, columns, table.tolist(), extra=payload)
+    out = _emit_table(args, columns, table.tolist(), extra=payload)
     return _json_text(out)
 
 
-def _schwinger(cfg: RunConfig) -> str:
-    params = lattice.SchwingerParams(
-        x=cfg.overrides.get("x", 0.5), mu=cfg.overrides.get("mu", 0.1))
-    t_max = cfg.overrides.get("t_max") or 10.0
-    series = lattice.schwinger_evolve(params, np.linspace(0.0, t_max, 400))
+def _schwinger(args: argparse.Namespace) -> str:
+    params = lattice.SchwingerParams(x=args.x, mu=args.mu)
+    series = lattice.schwinger_evolve(params, _time_grid(args.t_max))
     ground = lattice.schwinger_ground_state(params)
     rows = [[t] + list(p) for t, p in zip(series.t, series.probabilities)]
     sidecar = {
@@ -353,7 +325,7 @@ def _schwinger(cfg: RunConfig) -> str:
         "ground_energy": ground.energy,
         "ground_amplitudes": [float(a) for a in ground.amplitudes],
     }
-    out = _emit_table(cfg, ["t", "p1", "p2", "p3", "p4"], rows, extra=sidecar)
+    out = _emit_table(args, ["t", "p1", "p2", "p3", "p4"], rows, extra=sidecar)
     out["ground_energy"] = ground.energy
     return _json_text(out)
 
@@ -361,26 +333,51 @@ def _schwinger(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-_HANDLERS = {
-    "experiment1": _experiment1,
-    "experiment2": _experiment2,
-    "experiment3": _experiment3,
-    "experiment4": _experiment4,
-    "experiment5": _experiment5,
-    "coinflip": _coinflip,
-    "rabi": _rabi,
-    "decohere": _decohere,
-    "kraus": _kraus,
-    "chsh": _chsh,
-    "tfd": _tfd,
-    "arealaw": _arealaw,
-    "hermite": _hermite,
-    "schwinger": _schwinger,
-}
+def _sampling(shots: int) -> tuple:
+    return (("--seed", int, 1, "random-number seed"),
+            ("--shots", int, shots, "measurement repetitions"))
 
-_DEFAULT_SHOTS = {
-    "experiment1": 10, "experiment2": 10, "experiment3": 50,
-    "experiment4": 1, "experiment5": 1,
+
+def _t_max(default: float) -> tuple:
+    return (("--t-max", float, default, "end of the time grid"),)
+
+
+# name -> (help, handler, flags as (flag, type, default, help))
+_COMMANDS = {
+    "experiment1": ("flip one qubit and measure it repeatedly",
+                    _experiment1, _sampling(10)),
+    "experiment2": ("prepare and sample a Bell pair",
+                    _experiment2, _sampling(10)),
+    "experiment3": ("swap two prepared qubits and measure both",
+                    _experiment3, _sampling(50)),
+    "experiment4": ("teleport a state using measured corrections",
+                    functools.partial(_teleport_transcript, deferred=False),
+                    _sampling(1)),
+    "experiment5": ("teleport a state with deferred measurement",
+                    functools.partial(_teleport_transcript, deferred=True),
+                    _sampling(1)),
+    "coinflip": ("biased-coin entropy curve (CSV)", _coinflip, ()),
+    "rabi": ("two-qubit exchange-model time series (CSV)",
+             _rabi, _t_max(2.0 * math.pi)),
+    "decohere": ("three-qubit decoherence time series (CSV)",
+                 _decohere, _t_max(20.0)),
+    "kraus": ("Kraus P-matrices and entropy at t=1 (JSON)", _kraus, ()),
+    "chsh": ("Bell-violation and entropy curve over alpha (CSV)", _chsh, (
+        ("--alpha", float, None,
+         "single preparation angle (radians); omit for the full curve"),)),
+    "tfd": ("thermofield-double entropy versus theta (CSV)", _tfd, (
+        ("--theta", float, None,
+         "single mixing angle (radians); omit for the full curve"),)),
+    "arealaw": ("oscillator-lattice entropy scan and area fit", _arealaw, (
+        ("--n", int, 60, "lattice sites"),
+        ("--lmax", int, 300, "angular-momentum cutoff"))),
+    "hermite": ("eigenfunction table and sampling-fidelity report", _hermite, (
+        ("--nq", int, 3, "qubits per field site"),)),
+    "schwinger": ("truncated gauge-model evolution and ground state",
+                  _schwinger, (
+                      ("--x", float, 0.5, "hopping coupling 1/(ag)^2"),
+                      ("--mu", float, 0.1, "mass coupling 2m/(ag^2)"),
+                  ) + _t_max(10.0)),
 }
 
 
@@ -389,79 +386,23 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qilab",
         description="Rerun the experiments and emit every figure's data.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    specs = {
-        "experiment1": "flip one qubit and measure it repeatedly",
-        "experiment2": "prepare and sample a Bell pair",
-        "experiment3": "swap two prepared qubits and measure both",
-        "experiment4": "teleport a state using measured corrections",
-        "experiment5": "teleport a state with deferred measurement",
-        "coinflip": "biased-coin entropy curve (CSV)",
-        "rabi": "two-qubit exchange-model time series (CSV)",
-        "decohere": "three-qubit decoherence time series (CSV)",
-        "kraus": "Kraus P-matrices and entropy at t=1 (JSON)",
-        "chsh": "Bell-violation and entropy curve over alpha (CSV)",
-        "tfd": "thermofield-double entropy versus theta (CSV)",
-        "arealaw": "oscillator-lattice entropy scan and area fit",
-        "hermite": "eigenfunction table and sampling-fidelity report",
-        "schwinger": "truncated gauge-model evolution and ground state",
-    }
-    withseed = {"experiment1", "experiment2", "experiment3", "experiment4",
-                "experiment5"}
-    for name, blurb in specs.items():
+    for name, (blurb, handler, flags) in _COMMANDS.items():
         p = sub.add_parser(
             name, help=blurb,
             formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.set_defaults(handler=handler)
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"),
+        p.add_argument("--format", choices=("csv", "json"),
                        default="csv", help="table file format")
-        if name in withseed:
-            p.add_argument("--seed", type=int, default=1,
-                           help="random-number seed")
-            p.add_argument("--shots", type=int,
-                           default=_DEFAULT_SHOTS[name],
-                           help="measurement repetitions")
-        if name == "chsh":
-            p.add_argument("--alpha", type=float, default=None,
-                           help="single preparation angle (radians); "
-                                "omit for the full curve")
-        if name == "tfd":
-            p.add_argument("--theta", type=float, default=None,
-                           help="single mixing angle (radians); "
-                                "omit for the full curve")
-        if name == "arealaw":
-            p.add_argument("--n", type=int, default=60, help="lattice sites")
-            p.add_argument("--lmax", type=int, default=300,
-                           help="angular-momentum cutoff")
-        if name == "hermite":
-            p.add_argument("--nq", type=int, default=3,
-                           help="qubits per field site")
-        if name == "schwinger":
-            p.add_argument("--x", type=float, default=0.5,
-                           help="hopping coupling 1/(ag)^2")
-            p.add_argument("--mu", type=float, default=0.1,
-                           help="mass coupling 2m/(ag^2)")
-        if name in ("rabi", "decohere", "schwinger"):
-            p.add_argument("--t-max", dest="t_max", type=float, default=None,
-                           help="end of the time grid "
-                                "(default: rabi 2*pi, decohere 20, schwinger 10)")
+        for flag, kind, default, text in flags:
+            p.add_argument(flag, type=kind, default=default, help=text)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    known = {"subcommand", "seed", "shots", "out", "fmt"}
-    overrides = {k: v for k, v in vars(args).items()
-                 if k not in known and v is not None}
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        seed=getattr(args, "seed", 0),
-        shots=getattr(args, "shots", 0),
-        out_dir=args.out,
-        fmt=args.fmt,
-        overrides=overrides,
-    )
     try:
-        sys.stdout.write(_HANDLERS[cfg.subcommand](cfg))
+        sys.stdout.write(args.handler(args))
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports all
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)},

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -16,13 +16,16 @@ _HERM_ATOL = 1e-12
 _EIG_CLAMP = 1e-10
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive semidefinite matrix on n qubits."""
 
-    __slots__ = ("n_qubits", "matrix")
+    matrix: np.ndarray = field(repr=False)
+    check_psd: InitVar[bool] = True
+    n_qubits: int = field(init=False)
 
-    def __init__(self, matrix: np.ndarray, check_psd: bool = True):
-        m = np.asarray(matrix, dtype=complex)
+    def __post_init__(self, check_psd: bool):
+        m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
         n = int(round(math.log2(m.shape[0])))
@@ -38,9 +41,6 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "matrix", m)
-
-    def __setattr__(self, *a):
-        raise AttributeError("DensityMatrix is immutable")
 
     def to_json(self) -> str:
         d = self.matrix.shape[0]

@@ -12,6 +12,7 @@ measurement demonstration.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,15 +40,6 @@ __all__ = [
     "swap_measurement_demo",
 ]
 
-_SYMBOLS = {
-    "1": np.eye(2, dtype=complex),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "+": np.array([[0, 1], [0, 0]], dtype=complex),
-    "-": np.array([[0, 0], [1, 0]], dtype=complex),
-}
-
 
 @dataclass(frozen=True)
 class OperatorString:
@@ -59,16 +51,14 @@ class OperatorString:
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
         for f in self.factors:
-            if f not in _SYMBOLS:
-                raise ValueError(f"unknown factor symbol {f!r}; use one of {sorted(_SYMBOLS)}")
+            if f not in qstate.PAULI:
+                raise ValueError(f"unknown factor symbol {f!r}; use one of {sorted(qstate.PAULI)}")
         if not self.factors:
             raise ValueError("factors must be nonempty")
 
     def dense(self) -> np.ndarray:
-        out = np.array([[self.coefficient]], dtype=complex)
-        for f in self.factors:
-            out = np.kron(out, _SYMBOLS[f])
-        return out
+        return functools.reduce(np.kron, (qstate.PAULI[f] for f in self.factors),
+                                np.array([[self.coefficient]], dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -138,9 +128,7 @@ def from_dense(matrix) -> HamiltonianSpec:
             factors.append(labels[k % 4])
             k //= 4
         factors = tuple(reversed(factors))
-        p = np.array([[1.0]], dtype=complex)
-        for f in factors:
-            p = np.kron(p, _SYMBOLS[f])
+        p = OperatorString(1.0, factors).dense()
         coeff = np.trace(p @ m) / dim
         if abs(coeff) > 1e-12:
             # Hermitian input guarantees a real coefficient on Pauli strings.
@@ -160,20 +148,18 @@ def evolve(h: HamiltonianSpec, t: float, initial):
     """Evolve a StateVector or DensityMatrix by exp(-i H t).
 
     Returns the same kind as the input; t = 0 returns the input
-    unchanged.
+    unchanged once it has passed the same checks as any other t.
     """
+    if not isinstance(initial, (StateVector, DensityMatrix)):
+        raise TypeError(f"cannot evolve {type(initial).__name__}")
+    if initial.n_qubits != h.n_qubits:
+        raise ValueError("state and Hamiltonian qubit counts differ")
     if t == 0.0:
         return initial
     u = propagator(h, t)
     if isinstance(initial, StateVector):
-        if initial.n_qubits != h.n_qubits:
-            raise ValueError("state and Hamiltonian qubit counts differ")
         return StateVector(h.n_qubits, u @ initial.amplitudes)
-    if isinstance(initial, DensityMatrix):
-        if initial.matrix.shape[0] != 2**h.n_qubits:
-            raise ValueError("density matrix and Hamiltonian dimensions differ")
-        return DensityMatrix(u @ initial.matrix @ u.conj().T, check_psd=False)
-    raise TypeError(f"cannot evolve {type(initial).__name__}")
+    return DensityMatrix(u @ initial.matrix @ u.conj().T, check_psd=False)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,11 @@ noisy readout.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
+
+from .density import entropy_bits
 
 __all__ = [
     "Distribution",
@@ -19,16 +23,17 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class Distribution:
     """Probability distribution over a finite outcome set.
 
     Entries must be nonnegative and sum to 1 within 1e-12.
     """
 
-    __slots__ = ("probabilities",)
+    probabilities: np.ndarray = field(repr=False)
 
-    def __init__(self, probabilities) -> None:
-        p = np.asarray(probabilities, dtype=float)
+    def __post_init__(self) -> None:
+        p = np.asarray(self.probabilities, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("probabilities must be a nonempty 1-d array")
         if np.any(p < -1e-15):
@@ -38,9 +43,6 @@ class Distribution:
         p = np.clip(p, 0.0, None)
         p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Distribution is immutable")
 
     def __len__(self) -> int:
         return int(self.probabilities.size)
@@ -53,6 +55,7 @@ class Distribution:
         return f"Distribution([{entries}])"
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class BitFlipNoise:
     """Symmetric readout channel: the reported bit is correct with probability mu.
 
@@ -60,26 +63,18 @@ class BitFlipNoise:
     so it is rejected rather than silently flipped.
     """
 
-    __slots__ = ("mu",)
+    mu: float
 
-    def __init__(self, mu: float) -> None:
-        mu = float(mu)
+    def __post_init__(self) -> None:
+        mu = float(self.mu)
         if not 0.5 <= mu <= 1.0:
             raise ValueError(f"mu must lie in [1/2, 1], got {mu}")
         object.__setattr__(self, "mu", mu)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BitFlipNoise is immutable")
-
-    def __repr__(self) -> str:
-        return f"BitFlipNoise(mu={self.mu:g})"
-
 
 def shannon_entropy(dist: Distribution) -> float:
     """Shannon entropy -sum p log2 p in bits, with 0 log 0 = 0."""
-    p = dist.probabilities
-    nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log2(nz))) + 0.0  # fold -0.0
+    return entropy_bits(dist.probabilities)
 
 
 def _require_binary(dist: Distribution) -> None:

@@ -12,11 +12,14 @@ rederives the matrix from first principles on the full
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .qstate import PAULI
 
 __all__ = [
     "PauliDecomposition",
@@ -291,9 +294,8 @@ def schwinger_evolve(params: SchwingerParams, t_grid, initial=None) -> Evolution
 # 1,3 occupied = (01)) and four links with flux in {-1, 0, +1}
 # (dim 3, ordered by flux value).
 
-_SP = np.array([[0.0, 1.0], [0.0, 0.0]])
-_SM = _SP.T
-_SZ = np.diag([1.0, -1.0])
+# real parts keep the 1296-dimensional operator in float64
+_SP, _SM, _SZ = (PAULI[k].real for k in "+-z")
 _FLUX = np.diag([-1.0, 0.0, 1.0])
 _RAISE = np.diag([1.0, 1.0], -1)   # |l> -> |l+1>
 _LOWER = _RAISE.T
@@ -329,10 +331,7 @@ def _occupation_bits(occupations) -> list:
 def _string_op(site_ops: dict, link_ops: dict) -> np.ndarray:
     factors = [site_ops.get(n, np.eye(2)) for n in range(4)]
     factors += [link_ops.get(n, np.eye(3)) for n in range(4)]
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
+    return functools.reduce(np.kron, factors)
 
 
 def _full_hamiltonian(params: SchwingerParams) -> np.ndarray:

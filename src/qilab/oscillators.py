@@ -14,7 +14,7 @@ approximation -log(eps) + 1 - eps/2, and the fitted area-law constant
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -36,13 +36,15 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class CouplingMatrix:
     """Real symmetric positive-definite coupling matrix (frequency-squared units)."""
 
-    __slots__ = ("n", "K")
+    K: np.ndarray = field(repr=False)
+    n: int = field(init=False)
 
-    def __init__(self, K) -> None:
-        K = np.asarray(K, dtype=float)
+    def __post_init__(self) -> None:
+        K = np.asarray(self.K, dtype=float)
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise ValueError("K must be square")
         if np.max(np.abs(K - K.T)) > 1e-12:
@@ -53,9 +55,6 @@ class CouplingMatrix:
         K.setflags(write=False)
         object.__setattr__(self, "n", K.shape[0])
         object.__setattr__(self, "K", K)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CouplingMatrix is immutable")
 
 
 class CorrelatorPair(NamedTuple):

@@ -31,10 +31,18 @@ def _rng(seed: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # gates
 
-_I2 = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+# The single-qubit symbols {1, x, y, z, +, -}: the Pauli matrices and
+# the ladder operators sigma+ = |0><1|, sigma- = |1><0|.  Shared by the
+# gate library, dynamics' operator strings and lattice's gauge model.
+PAULI = {
+    "1": np.eye(2, dtype=complex),
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "+": np.array([[0, 1], [0, 0]], dtype=complex),
+    "-": np.array([[0, 0], [1, 0]], dtype=complex),
+}
+_I2, _X, _Y, _Z = (PAULI[k] for k in "1xyz")
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 _CNOT = np.array(
@@ -115,26 +123,24 @@ def standard_gate(name: str, *params: float) -> Gate:
 # ---------------------------------------------------------------------------
 # states
 
+@dataclass(frozen=True, eq=False, slots=True)
 class StateVector:
     """Immutable n-qubit pure state."""
 
-    __slots__ = ("n_qubits", "amplitudes")
+    n_qubits: int
+    amplitudes: np.ndarray = field(repr=False)
 
-    def __init__(self, n_qubits: int, amplitudes: np.ndarray):
-        if n_qubits < 1:
+    def __post_init__(self):
+        if self.n_qubits < 1:
             raise ValueError("need at least one qubit")
-        a = np.asarray(amplitudes, dtype=complex).reshape(-1).copy()
-        if a.size != 2**n_qubits:
-            raise ValueError(f"expected {2**n_qubits} amplitudes, got {a.size}")
+        a = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
+        if a.size != 2**self.n_qubits:
+            raise ValueError(f"expected {2**self.n_qubits} amplitudes, got {a.size}")
         n = float(np.linalg.norm(a))
         if abs(n - 1.0) > 1e-9:
             raise ValueError(f"state not normalized: |psi| = {n}")
         a.setflags(write=False)
-        object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "amplitudes", a)
-
-    def __setattr__(self, *a):
-        raise AttributeError("StateVector is immutable")
 
     @classmethod
     def zeros(cls, n_qubits: int) -> "StateVector":

@@ -222,6 +222,33 @@ def test_error_reporting_json_on_stderr(tmp_path, capsys):
     assert "n_q" in err["message"]
 
 
+_BAD_VALUES = [
+    (["arealaw", "--n", "0", "--lmax", "0"], "N >= 10"),
+    (["arealaw", "--n", "12", "--lmax", "0"], "l_max"),
+    (["hermite", "--nq", "0"], "n_q"),
+    (["experiment1", "--shots", "0"], "shots"),
+    (["experiment4", "--shots", "0"], "shots"),
+    (["rabi", "--t-max", "0"], "t_max"),
+    (["decohere", "--t-max", "-1"], "t_max"),
+    (["schwinger", "--t-max", "0"], "t_max"),
+    (["rabi", "--t-max", "nan"], "t_max"),
+    (["schwinger", "--t-max", "inf"], "t_max"),
+]
+
+
+@pytest.mark.parametrize("argv, needle", _BAD_VALUES,
+                         ids=["".join(argv) for argv, _ in _BAD_VALUES])
+def test_bad_values_are_rejected_not_defaulted(tmp_path, capsys, argv, needle):
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError"
+    assert needle in err["message"]
+    assert not list(out.glob("*"))
+
+
 def test_entry_point_subprocess(tmp_path):
     # exercise the installed console script end to end
     proc = subprocess.run(

@@ -106,6 +106,18 @@ def test_evolve_statevector_and_density_agree():
             atol=1e-12)
 
 
+@pytest.mark.parametrize("t", [0.0, 0.1])
+def test_evolve_checks_input_at_every_time(t):
+    # t = 0 takes a shortcut, but only after the checks every t gets
+    h = dynamics.rabi_hamiltonian()
+    with pytest.raises(ValueError, match="qubit counts differ"):
+        dynamics.evolve(h, t, qstate.StateVector.zeros(3))
+    with pytest.raises(ValueError, match="qubit counts differ"):
+        dynamics.evolve(h, t, density.from_statevector(qstate.StateVector.zeros(1)))
+    with pytest.raises(TypeError, match="cannot evolve"):
+        dynamics.evolve(h, t, np.eye(4))
+
+
 def test_exchange_model_closed_form_diagonal():
     # from |01>: diag rho_S(t) = ((1+cos^2 rt)/2, sin^2 rt / 2), r = sqrt2,
     # and the off-diagonal stays exactly zero
