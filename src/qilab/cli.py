@@ -4,8 +4,8 @@ Each subcommand writes its data files (CSV/JSON) into --out and prints
 either a text transcript (the experiment commands) or a short JSON
 summary to stdout.  All numeric output uses full round-trip decimal
 precision, so identical configurations produce byte-identical files.
-Module errors surface as machine-readable JSON on stderr with a
-nonzero exit status.
+Module errors and unreadable arguments surface as machine-readable
+JSON on stderr with exit status 1.
 """
 
 from __future__ import annotations
@@ -279,6 +279,8 @@ def _arealaw(args: argparse.Namespace) -> str:
         "l_max": curve.l_max,
         "lambda": curve.fit_lambda,
         "fit_range": [0.0, curve.fit_fraction * (curve.n + 0.5)],
+        "l_stop": list(curve.l_stop),
+        "capped": list(curve.capped),
     }
     out = _emit_table(args, ["r", "S"], [list(s) for s in curve.samples],
                       extra=sidecar)
@@ -381,8 +383,14 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    # A parse error raises, so main reports it as the JSON error.
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qilab",
         description="Rerun the experiments and emit every figure's data.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -400,8 +408,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         sys.stdout.write(args.handler(args))
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports all
         sys.stderr.write(json.dumps(

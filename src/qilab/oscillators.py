@@ -64,17 +64,6 @@ class CorrelatorPair(NamedTuple):
     P: np.ndarray
 
 
-def _entropy_from_c(c: float) -> float:
-    # (c+1/2)ln(c+1/2) - (c-1/2)ln(c-1/2), the c-form; c within 1e-9 of
-    # 1/2 contributes 0, smaller c signals a matrix-function error.
-    lo = c - 0.5
-    if lo < -1e-9:
-        raise ValueError(f"symplectic eigenvalue {c} below 1/2 beyond tolerance")
-    if lo <= 0.0:
-        return 0.0
-    return (c + 0.5) * math.log(c + 0.5) - lo * math.log(lo)
-
-
 def thermal_entropy(beta_omega: float) -> float:
     """Entropy of one thermal oscillator in nats.
 
@@ -88,7 +77,11 @@ def thermal_entropy(beta_omega: float) -> float:
         raise ValueError(f"beta*omega must be positive, got {bw}")
     x = math.exp(-bw)
     boltzmann = -math.log1p(-x) + bw * x / (1.0 - x) if x > 0.0 else 0.0
-    c_form = _entropy_from_c(0.5 / math.tanh(bw / 2.0))
+    # c >= 1/2 as tanh <= 1.  Scalar math.log on purpose: np.log differs
+    # from it by an ulp on some inputs, which would move the tfd data.
+    c = 0.5 / math.tanh(bw / 2.0)
+    lo = c - 0.5
+    c_form = (c + 0.5) * math.log(c + 0.5) - lo * math.log(lo) if lo > 0.0 else 0.0
     if abs(boltzmann - c_form) > 1e-10:
         raise ArithmeticError(
             f"closed forms disagree at beta*omega={bw}: {boltzmann} vs {c_form}")
@@ -157,48 +150,97 @@ def tfd_coupling(theta: float, omega: float = 1.0) -> CouplingMatrix:
     return CouplingMatrix(omega**2 * np.array([[diag, off], [off, diag]]))
 
 
+# l-channels per batched LAPACK call in area_law_scan.  A stack holds
+# 8 x N x N floats per correlator; larger stacks buy little more speed
+# for their memory.
+_L_STACK = 8
+
+
+def _correlator_stack(K: np.ndarray) -> tuple:
+    # X = K^{-1/2}/2 and P = K^{1/2}/2 for each matrix of a (..., n, n) stack
+    evals, vecs = np.linalg.eigh(K)
+    if not np.all(evals[..., 0] > 0.0):
+        raise ValueError("K must be positive-definite")
+    root = np.sqrt(evals)[..., None, :]
+    vecs_t = np.swapaxes(vecs, -1, -2)
+    return (vecs / root) @ vecs_t / 2.0, (vecs * root) @ vecs_t / 2.0
+
+
 def correlators(K: CouplingMatrix) -> CorrelatorPair:
     """X = K^{-1/2}/2 and P = K^{1/2}/2 via the symmetric eigendecomposition."""
-    evals, vecs = np.linalg.eigh(K.K)
-    if evals[0] <= 0.0:
-        raise ValueError("K must be positive-definite")
-    root = np.sqrt(evals)
-    X = (vecs / root) @ vecs.T / 2.0
-    P = (vecs * root) @ vecs.T / 2.0
-    return CorrelatorPair(X, P)
+    return CorrelatorPair(*_correlator_stack(K.K))
 
 
-def _subsystem_entropy_from_correlators(X: np.ndarray, P: np.ndarray, keep) -> float:
-    keep = list(keep)
-    x_sub = X[np.ix_(keep, keep)]
-    p_sub = P[np.ix_(keep, keep)]
-    evals, vecs = np.linalg.eigh(x_sub)
-    if evals[-1] <= 0.0:
-        raise ValueError("X sub-block lost positive-definiteness")
-    root = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.T
-    mu = np.linalg.eigvalsh(root @ p_sub @ root)
-    if mu[0] < -1e-9:
-        raise ValueError(f"negative symplectic spectrum {mu[0]} beyond tolerance")
-    total = 0.0
-    for m in mu:
-        total += _entropy_from_c(math.sqrt(max(float(m), 0.0)))
-    return total
+def _spectrum_entropy(delta: np.ndarray) -> np.ndarray:
+    # The c-form (c+1/2)ln(c+1/2) - (c-1/2)ln(c-1/2) summed along the
+    # last axis, given delta = c^2 - 1/4 for the symplectic values c.
+    # c - 1/2 and ln(c + 1/2) come from delta, not c, so a tiny c - 1/2
+    # keeps its digits.  c within 1e-9 of 1/2 contributes 0; smaller c
+    # signals a matrix-function error.
+    mu = delta + 0.25
+    if mu.min() < -1e-9:
+        raise ValueError(f"negative symplectic spectrum {mu.min()} beyond tolerance")
+    c = np.sqrt(np.maximum(mu, 0.0))
+    lo = delta / (c + 0.5)
+    if lo.min() < -1e-9:
+        raise ValueError(f"symplectic eigenvalue {c.min()} below 1/2 beyond tolerance")
+    live = lo > 0.0
+    lo = np.where(live, lo, 1.0)  # log(1) keeps the masked terms finite
+    return np.where(live, (1.0 + lo) * np.log1p(lo) - lo * np.log(lo), 0.0).sum(axis=-1)
+
+
+def _cholesky(X: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(X)
+    except np.linalg.LinAlgError:
+        raise ValueError("X sub-block lost positive-definiteness") from None
+
+
+def _leading_entropy(chol: np.ndarray, P: np.ndarray, m: int) -> np.ndarray:
+    # Entropy of the leading m sites A of each (..., n, n) stack, from the
+    # Cholesky factor chol = [[L_A, 0], [C, L_B]] of X and from P, both in
+    # the same site order.  X P = 1/4 makes L_A^T P_A L_A - 1/4 (its
+    # eigenvalues are c^2 - 1/4; X_A P_A is similar to L_A^T P_A L_A)
+    # equal to C^T P_B C = -C^T P_BA L_A: built from the off-diagonal
+    # blocks, it does not cancel against 1/4.
+    c_t = np.swapaxes(chol[..., m:, :m], -1, -2)
+    delta = np.linalg.eigvalsh(-(c_t @ P[..., m:, :m]) @ chol[..., :m, :m])
+    return _spectrum_entropy(delta)
 
 
 def subsystem_entropy(K: CouplingMatrix, keep) -> float:
     """Ground-state entanglement entropy (nats) of the oscillators in keep.
 
-    The eigenvalues mu_k of X_sub P_sub are taken from the similar
-    symmetric problem X_sub^{1/2} P_sub X_sub^{1/2}; the symplectic
-    values c_k = sqrt(mu_k) then feed the c-form entropy.
+    The sites are reordered to put keep (A) first and X = L L^T is
+    Cholesky-factored.  The eigenvalues c_k^2 of X_A P_A are those of
+    the symmetric L_A^T P_A L_A, where L_A is the leading block of L;
+    since X P = 1/4, c_k^2 - 1/4 is taken from the equal -C^T P_BA L_A
+    (C the off-diagonal block of L), which keeps tiny c_k - 1/2 exact
+    to working precision.  The symplectic values c_k feed the c-form
+    entropy.
     """
     keep = sorted(set(int(i) for i in keep))
     if not keep:
         raise ValueError("keep must be nonempty")
     if keep[0] < 0 or keep[-1] >= K.n:
         raise ValueError(f"keep indices out of range for n={K.n}")
-    pair = correlators(K)
-    return _subsystem_entropy_from_correlators(pair.X, pair.P, keep)
+    X, P = correlators(K)
+    order = keep + sorted(set(range(K.n)) - set(keep))
+    block = np.ix_(order, order)
+    return float(_leading_entropy(_cholesky(X[block]), P[block], len(keep)))
+
+
+def _radial_stack(ls, N: int) -> np.ndarray:
+    # radial_K's matrix for each l in ls, stacked along the first axis
+    j = np.arange(1, N + 1, dtype=float)
+    l = np.asarray(ls, dtype=float)[:, None]
+    site = np.arange(N)
+    K = np.zeros((l.shape[0], N, N))
+    K[:, site, site] = ((j + 0.5) ** 2 + (j - 0.5) ** 2 + l * (l + 1)) / j**2
+    off = -((j[:-1] + 0.5) ** 2) / (j[:-1] * (j[:-1] + 1.0))
+    K[:, site[:-1], site[1:]] = off
+    K[:, site[1:], site[:-1]] = off
+    return K
 
 
 def radial_K(l: int, N: int) -> CouplingMatrix:
@@ -210,11 +252,7 @@ def radial_K(l: int, N: int) -> CouplingMatrix:
     """
     if l < 0 or N < 2:
         raise ValueError("need l >= 0 and N >= 2")
-    j = np.arange(1, N + 1, dtype=float)
-    diag = ((j + 0.5) ** 2 + (j - 0.5) ** 2 + l * (l + 1)) / j**2
-    off = -((j[:-1] + 0.5) ** 2) / (j[:-1] * (j[:-1] + 1.0))
-    K = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    return CouplingMatrix(K)
+    return CouplingMatrix(_radial_stack([l], N)[0])
 
 
 @dataclass(frozen=True)
@@ -223,7 +261,9 @@ class EntropyCurve:
 
     samples holds (r, S) with r = j_max + 1/2 in lattice units;
     fit_lambda solves S = lambda r^2 by zero-intercept least squares
-    over r < fit_fraction * R.
+    over r < fit_fraction * R.  Per radius, l_stop is the last l summed
+    (None at the two exact-zero endpoints) and capped is True where the
+    l-sum ran into the cap l_max before its tail test stopped it.
     """
 
     n: int
@@ -231,6 +271,8 @@ class EntropyCurve:
     samples: tuple
     fit_fraction: float
     fit_lambda: float
+    l_stop: tuple
+    capped: tuple
 
 
 def fit_area_coefficient(samples, r_max: float) -> float:
@@ -246,18 +288,51 @@ def fit_area_coefficient(samples, r_max: float) -> float:
     return float(np.sum(r**2 * s) / denom)
 
 
+def _shell_entropies(ls, N: int, j_maxes) -> np.ndarray:
+    # S_l of the shell j > j_max, one row per j_max and one column per l.
+    # One batched eigh gives the correlators of every l and two batched
+    # Cholesky factors serve every cut: X itself, whose leading blocks are
+    # the inner sites 0..j_max-1, and X in reversed site order, whose
+    # leading blocks are the outer sites j_max..N-1.  The ground state is
+    # pure, so each cut takes the smaller side: one batched eigvalsh of
+    # size min(j_max, N - j_max).
+    X, P = _correlator_stack(_radial_stack(ls, N))
+    inner = _cholesky(X), P
+    outer = _cholesky(X[:, ::-1, ::-1]), P[:, ::-1, ::-1]
+    out = np.empty((len(j_maxes), len(ls)))
+    for row, j in enumerate(j_maxes):
+        (chol, p), m = (outer, N - j) if 2 * j >= N else (inner, j)
+        out[row] = _leading_entropy(chol, p, m)
+    return out
+
+
+def _tail_below(term: float, prev: float, bound: float) -> bool:
+    # the geometric remainder term * rho/(1 - rho), rho = term/prev, is
+    # below bound (a zero term ends the sum)
+    if term == 0.0:
+        return True
+    rho = term / prev if prev > 0.0 else 1.0
+    return rho < 1.0 and term * rho / (1.0 - rho) < bound
+
+
 def area_law_scan(N: int, l_max: int, fit_fraction: float = 0.975,
                   tail: float = 1e-3) -> EntropyCurve:
     """Entanglement entropy of the outer shell versus inner radius.
 
-    S(r) = sum_l (2l+1) S_l(r) with S_l from subsystem_entropy of
-    radial_K(l, N) keeping sites j > j_max, sampled at r = j_max + 1/2
-    for j_max = 0..N.  The l-sum for each radius stops once the
-    geometric tail estimate term * rho/(1 - rho) (rho the consecutive
-    term ratio) falls below `tail` of the running sum, or at the hard
-    cap l_max; terms are accumulated in ascending l for determinism.
-    The endpoints r = 1/2 (keep everything, pure state) and r = R
-    (keep nothing) are exactly 0.
+    S(r) = sum_l (2l+1) S_l(r), sampled at r = j_max + 1/2 for
+    j_max = 0..N, where S_l is the entropy of sites j > j_max in the
+    ground state of radial_K(l, N).  S_l is computed as in
+    subsystem_entropy (Cholesky factor of X, c^2 - 1/4 from its
+    off-diagonal block) for the smaller side of the cut, since the
+    state is pure and both sides agree, with the l-channels taken in
+    stacks of 8 per LAPACK call.  The l-sum for each radius stops once
+    the geometric tail estimate term * rho/(1 - rho) (rho the
+    consecutive term ratio) falls below `tail` of the running sum, or
+    at the hard cap l_max (reported per radius in l_stop and capped);
+    terms are accumulated in ascending l for determinism, and the terms
+    of a stack past a radius's stop are dropped.  The endpoints r = 1/2
+    (keep everything, pure state) and r = R (keep nothing) are
+    exactly 0.
     """
     if N < 10:
         raise ValueError("need N >= 10 for a meaningful scan")
@@ -265,28 +340,28 @@ def area_law_scan(N: int, l_max: int, fit_fraction: float = 0.975,
         raise ValueError("need l_max >= 1")
     if not 0.0 < fit_fraction <= 1.0:
         raise ValueError("fit_fraction must lie in (0, 1]")
-    j_maxes = np.arange(0, N + 1)
     S = np.zeros(N + 1)
     prev = np.zeros(N + 1)
+    l_stop = np.full(N + 1, -1)
     active = np.ones(N + 1, dtype=bool)
     active[0] = active[N] = False  # exact zeros at both endpoints
-    for l in range(l_max + 1):
-        if not active.any():
+    for l0 in range(0, l_max + 1, _L_STACK):
+        radii = np.nonzero(active)[0]
+        if radii.size == 0:
             break
-        X, P = correlators(radial_K(l, N))
-        for idx in np.nonzero(active)[0]:
-            keep = list(range(int(j_maxes[idx]), N))
-            term = (2 * l + 1) * _subsystem_entropy_from_correlators(X, P, keep)
-            S[idx] += term
-            if l >= 2:
-                if term == 0.0:
+        ls = np.arange(l0, min(l0 + _L_STACK, l_max + 1))
+        terms = (2 * ls + 1) * _shell_entropies(ls, N, radii)
+        for idx, row in zip(radii, terms):
+            for l, term in zip(ls, row):
+                S[idx] += term
+                l_stop[idx] = l
+                if l >= 2 and _tail_below(term, prev[idx], tail * S[idx]):
                     active[idx] = False
-                elif prev[idx] > 0.0:
-                    rho = term / prev[idx]
-                    if rho < 1.0 and term * rho / (1.0 - rho) < tail * S[idx]:
-                        active[idx] = False
-            prev[idx] = term
-    r = j_maxes + 0.5
+                    break
+                prev[idx] = term
+    r = np.arange(N + 1) + 0.5
     samples = tuple((float(rv), float(sv)) for rv, sv in zip(r, S))
     lam = fit_area_coefficient(samples, fit_fraction * (N + 0.5))
-    return EntropyCurve(N, l_max, samples, fit_fraction, lam)
+    return EntropyCurve(N, l_max, samples, fit_fraction, lam,
+                        tuple(int(l) if l >= 0 else None for l in l_stop),
+                        tuple(bool(a) for a in active))

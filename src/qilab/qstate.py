@@ -25,6 +25,8 @@ class SimulationFault(RuntimeError):
 
 def _rng(seed: int) -> np.random.Generator:
     # PCG64 draws are platform-stable, which the output contracts rely on
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))
 
 

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from qilab import cli
+from qilab import oscillators as osc
 
 
 def _run(tmp_path, *argv):
@@ -154,6 +155,17 @@ def test_arealaw_outputs(tmp_path):
     assert sidecar["fit_range"][1] == pytest.approx(0.975 * 12.5, abs=1e-12)
 
 
+def test_arealaw_sidecar_reports_truncation(tmp_path):
+    _run(tmp_path, "arealaw", "--n", "12", "--lmax", "20")
+    sidecar = json.loads((tmp_path / "arealaw.json").read_text())
+    curve = osc.area_law_scan(12, 20)
+    assert sidecar["l_stop"] == list(curve.l_stop)
+    assert sidecar["capped"] == list(curve.capped)
+    assert len(sidecar["l_stop"]) == len(sidecar["capped"]) == 13
+    header, rows = _read_csv(tmp_path / "arealaw.csv")
+    assert header == ["r", "S"] and all(len(row) == 2 for row in rows)
+
+
 def test_arealaw_json_format_single_file(tmp_path):
     _run(tmp_path, "arealaw", "--n", "12", "--lmax", "150", "--format", "json")
     payload = json.loads((tmp_path / "arealaw.json").read_text())
@@ -247,6 +259,37 @@ def test_bad_values_are_rejected_not_defaulted(tmp_path, capsys, argv, needle):
     assert err["error"] == "ValueError"
     assert needle in err["message"]
     assert not list(out.glob("*"))
+
+
+_PARSE_ERRORS = [
+    (["arealaw", "--n", "abc"], "invalid int value: 'abc'"),
+    (["rabi", "--t-max", "soon"], "invalid float value: 'soon'"),
+    (["arealaw", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+]
+
+
+@pytest.mark.parametrize("argv, needle", _PARSE_ERRORS,
+                         ids=["".join(argv) for argv, _ in _PARSE_ERRORS])
+def test_parse_errors_give_the_json_error(tmp_path, capsys, argv, needle):
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ArgumentError"
+    assert needle in err["message"]
+    assert not out.exists()
+
+
+def test_negative_seed_is_rejected_by_name(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["experiment2", "--seed", "-1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err == {"error": "ValueError",
+                   "message": "seed must be non-negative, got -1"}
+    assert not out.exists()
 
 
 def test_entry_point_subprocess(tmp_path):

@@ -179,3 +179,47 @@ def test_area_law_scan_validation():
         osc.area_law_scan(4, 100)
     with pytest.raises(ValueError):
         osc.area_law_scan(12, 0)
+
+
+@pytest.mark.parametrize("l0", [0, 143])
+def test_stacked_engine_matches_subsystem_entropy(l0):
+    # one stack of 8 channels against one subsystem_entropy call per
+    # (l, radius), which keeps the outer side of every cut
+    ls = np.arange(l0, l0 + 8)
+    radii = list(range(1, 12))
+    got = osc._shell_entropies(ls, 12, radii)
+    for row, j in enumerate(radii):
+        for col, l in enumerate(ls):
+            want = osc.subsystem_entropy(osc.radial_K(int(l), 12), range(j, 12))
+            assert got[row, col] == pytest.approx(want, abs=1e-10), (l, j)
+
+
+def test_area_law_scan_reports_where_each_sum_stopped():
+    l_max = 150
+    curve = osc.area_law_scan(12, l_max)
+    assert curve.l_stop[0] is None and curve.l_stop[-1] is None
+    assert not curve.capped[0] and not curve.capped[-1]
+    for (r, s), stop, capped in zip(curve.samples[1:-1], curve.l_stop[1:-1],
+                                    curve.capped[1:-1]):
+        assert 2 <= stop <= l_max
+        assert not capped or stop == l_max
+        # the sample is exactly the l-sum up to l_stop: terms that a stack
+        # computed past the stop are dropped
+        j = int(r - 0.5)
+        want = sum((2 * l + 1) * osc.subsystem_entropy(osc.radial_K(l, 12),
+                                                       range(j, 12))
+                   for l in range(stop + 1))
+        assert s == pytest.approx(want, abs=1e-10)
+    # at this cap some radii run into it and some stop on the tail test
+    assert any(curve.capped) and not all(curve.capped[1:-1])
+
+
+def test_spectrum_entropy_keeps_tiny_symplectic_gaps():
+    # c^2 - 1/4 = delta gives c - 1/2 = eps = delta - delta^2 + O(delta^3)
+    # and S = eps (1 - ln eps) + eps^2/2 + O(eps^3); c formed as
+    # sqrt(1/4 + delta) would round eps to a multiple of 2^-56
+    for delta in (3e-12, 7.3e-15):
+        eps = delta - delta**2
+        want = eps * (1.0 - math.log(eps)) + eps**2 / 2.0
+        got = float(osc._spectrum_entropy(np.array([delta, 0.0])))
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
