@@ -14,6 +14,12 @@ sampled_chsh(optimal_settings(pi/4)[0], 5000, N) as
 json.dumps(dataclasses.asdict(result), sort_keys=True, indent=2); its
 floats come from the shot counts by correctly rounded IEEE operations
 alone, so they too are platform-stable.
+
+tests/golden/seed<N>/run_circuit_<name>.json (N = 1, 2, 3) holds
+run_circuit(circuit, shots, N).to_json() for the circuits in RUNS:
+bitstrings only, so platform-stable.  Regenerate with
+
+    for s in 1 2 3; do python tests/test_golden.py $s; done
 """
 
 import dataclasses
@@ -23,9 +29,32 @@ from pathlib import Path
 
 import pytest
 
-from qilab import bell, cli
+from qilab import bell, cli, qstate
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def ghz_chain(n):
+    """H on qubit 0, a CNOT chain, each qubit measured into its own register."""
+    c = qstate.Circuit(n).add_gate("H", [0])
+    for q in range(n - 1):
+        c.add_gate("CNOT", [q, q + 1])
+    for q in range(n):
+        c.add_measure([q], f"q{q}")
+    return c
+
+
+# name -> (circuit factory, shots)
+RUNS = {
+    "ghz10": (lambda: ghz_chain(10), 200),
+    "teleport": (lambda: qstate.teleport_circuit(0.103, 0.456, deferred=False), 1000),
+    "exchange": (lambda: qstate.exchange_circuit(0.5), 500),
+}
+
+
+def _run_json(name, seed):
+    make, shots = RUNS[name]
+    return qstate.run_circuit(make(), shots, seed).to_json() + "\n"
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -43,3 +72,18 @@ def test_sampled_chsh_matches_golden(seed):
     result = bell.sampled_chsh(bell.optimal_settings(math.pi / 4)[0], 5000, seed)
     got = json.dumps(dataclasses.asdict(result), sort_keys=True, indent=2) + "\n"
     assert got == (GOLDEN / f"seed{seed}" / "sampled_chsh.json").read_text()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_circuit_matches_golden(name, seed):
+    want = (GOLDEN / f"seed{seed}" / f"run_circuit_{name}.json").read_text()
+    assert _run_json(name, seed) == want
+
+
+if __name__ == "__main__":
+    import sys
+
+    seed = int(sys.argv[1])
+    for name in RUNS:
+        (GOLDEN / f"seed{seed}" / f"run_circuit_{name}.json").write_text(_run_json(name, seed))
