@@ -162,6 +162,10 @@ def _rotated_for_measurement(state: StateVector, gamma_a: float, gamma_b: float)
     return out
 
 
+# value of the product of the two outcomes (+1/-1) for branches 00, 01, 10, 11
+_PARITY = np.array([1.0, -1.0, -1.0, 1.0])
+
+
 def sampled_chsh(settings: ChshSettings, shots: int, seed: int) -> SampledChshResult:
     """Monte Carlo CHSH: random basis choice each shot, one pair measured.
 
@@ -169,9 +173,12 @@ def sampled_chsh(settings: ChshSettings, shots: int, seed: int) -> SampledChshRe
     independently picks S (gamma=beta) or T (gamma=beta_prime).  Each
     estimate carries the binomial standard error sqrt((1 - E^2)/n); a
     pair that received no shots reports estimate 0 with infinite error.
+
+    RNG contract: all basis picks first (rng.integers(0, 4, size=shots)),
+    then one uniform per shot in shot order (rng.random(shots)) that
+    draws the shot's outcome as qstate.measure would.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    shots = qstate._check_shots(shots)
     rng = qstate._rng(seed)
     base = entangled_state(settings.alpha)
     gammas_a = (0.0, math.pi / 2)            # Q, R
@@ -180,14 +187,16 @@ def sampled_chsh(settings: ChshSettings, shots: int, seed: int) -> SampledChshRe
     rotated = [
         _rotated_for_measurement(base, ga, gb) for ga in gammas_a for gb in gammas_b
     ]
-    sums = np.zeros(4)
-    counts = np.zeros(4, dtype=int)
     picks = rng.integers(0, 4, size=shots)
-    for k in picks:
-        bits, _ = qstate.measure(rotated[k], [0, 1], rng)
-        value = (1 - 2 * int(bits[0])) * (1 - 2 * int(bits[1]))
-        sums[k] += value
-        counts[k] += 1
+    u = rng.random(shots)
+    values = np.empty(shots)
+    for k, state in enumerate(rotated):
+        mine = picks == k
+        _, branch = qstate._sample_branches(state, (0, 1), u[mine])
+        values[mine] = _PARITY[branch]
+    # the values are +-1, so the float sums are exact whatever the order
+    sums = np.bincount(picks, weights=values, minlength=4)
+    counts = np.bincount(picks, minlength=4)
 
     estimates = np.zeros(4)
     errors = np.zeros(4)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -215,6 +216,49 @@ def bell_basis_rotation(state: StateVector, q0: int, q1: int, inverse: bool = Fa
     return apply_gate(state, cnot, [q0, q1])
 
 
+def _sample_branches(state: StateVector, qubits: Sequence[int], u):
+    """Outcome probabilities of measuring `qubits`, and the branch each uniform draws.
+
+    `flat` lists the outcomes with the bits ordered like `qubits` (the
+    first qubit most significant).  A uniform u (a scalar or an array)
+    draws the branch k where u * cum[-1] falls in the cumulative sum,
+    clipped to the last branch; drawing a branch below _MIN_BRANCH_PROB
+    is a SimulationFault.  Returns (flat, k).
+    """
+    n = state.n_qubits
+    probs = np.abs(state.amplitudes.reshape([2] * n)) ** 2
+    others = tuple(q for q in range(n) if q not in qubits)
+    pm = probs.sum(axis=others) if others else probs
+    # pm axes are the measured qubits in ascending order; put them in
+    # caller order before flattening
+    srt = sorted(qubits)
+    pm = np.transpose(pm, [srt.index(q) for q in qubits])
+    flat = pm.reshape(-1)
+    cum = np.cumsum(flat)
+    k = np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), flat.size - 1)
+    p = flat[k]
+    if np.any(p < _MIN_BRANCH_PROB):
+        raise SimulationFault(f"collapse onto branch with probability {float(np.min(p))}")
+    return flat, k
+
+
+def _collapse(state: StateVector, qubits: Sequence[int], k: int, p: float):
+    """Project `qubits` onto outcome k, of probability p, and renormalise.
+
+    Returns (bits, collapsed_state) with bits ordered like `qubits`.
+    """
+    n = state.n_qubits
+    m = len(qubits)
+    bits = tuple((k >> (m - 1 - i)) & 1 for i in range(m))
+    idx: list = [slice(None)] * n
+    for q, b in zip(qubits, bits):
+        idx[q] = b
+    view = state.amplitudes.reshape([2] * n)
+    new = np.zeros_like(view)
+    new[tuple(idx)] = view[tuple(idx)] / math.sqrt(p)
+    return bits, StateVector(n, new.reshape(-1))
+
+
 def measure(state: StateVector, qubits: Sequence[int], rng: np.random.Generator):
     """Projectively measure the listed qubits.
 
@@ -229,30 +273,8 @@ def measure(state: StateVector, qubits: Sequence[int], rng: np.random.Generator)
     for q in qubits:
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range for {n} qubits")
-    view = state.amplitudes.reshape([2] * n)
-    probs = np.abs(view) ** 2
-    others = tuple(q for q in range(n) if q not in qubits)
-    pm = probs.sum(axis=others) if others else probs
-    # pm axes are the measured qubits in ascending order; put them in
-    # caller order before flattening
-    srt = sorted(qubits)
-    pm = np.transpose(pm, [srt.index(q) for q in qubits])
-    flat = pm.reshape(-1)
-    cum = np.cumsum(flat)
-    u = rng.random() * cum[-1]
-    k = int(np.searchsorted(cum, u, side="right"))
-    k = min(k, flat.size - 1)
-    p = float(flat[k])
-    if p < _MIN_BRANCH_PROB:
-        raise SimulationFault(f"collapse onto branch with probability {p}")
-    m = len(qubits)
-    bits = tuple((k >> (m - 1 - i)) & 1 for i in range(m))
-    idx: list = [slice(None)] * n
-    for q, b in zip(qubits, bits):
-        idx[q] = b
-    new = np.zeros_like(view)
-    new[tuple(idx)] = view[tuple(idx)] / math.sqrt(p)
-    return bits, StateVector(n, new.reshape(-1))
+    flat, k = _sample_branches(state, qubits, rng.random())
+    return _collapse(state, qubits, int(k), float(flat[k]))
 
 
 class BlochVector(NamedTuple):
@@ -389,21 +411,61 @@ class Circuit:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def execute(circuit: Circuit, rng: np.random.Generator):
-    """Run one shot. Returns (final StateVector, register map of bitstrings)."""
-    state = StateVector.zeros(circuit.n_qubits)
-    registers: dict = {}
-    for step in circuit.steps:
-        if isinstance(step, MeasureStep):
-            bits, state = measure(state, step.qubits, rng)
-            registers[step.key] = "".join(str(b) for b in bits)
-        else:
+def _check_shots(shots) -> int:
+    # bool is an Integral too, but True shots is a bug, not one shot
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
+    if shots < 1:
+        raise ValueError("shots must be positive")
+    return int(shots)
+
+
+def _run_shots(circuit: Circuit, shots: int, rng: np.random.Generator, emit) -> None:
+    """Run `shots` shots of `circuit` as one tree of measurement branches.
+
+    The generator gives one uniform per MeasureStep per shot, shot-major:
+    rng.random(shots * K) reshaped (shots, K), which equals the scalar
+    draws of `shots` sequential executions (PCG64 fills an array with
+    the scalar stream).  The circuit is walked once per distinct outcome
+    history: at each MeasureStep the shots on that history are routed
+    together through _sample_branches, and each drawn branch is
+    collapsed once.  Conditions skip gates only, never draws, and are
+    evaluated from the branch's own registers.  Each leaf calls
+    emit(shot indices, registers, final state).
+    """
+    steps = circuit.steps
+    n_draws = sum(isinstance(s, MeasureStep) for s in steps)
+    u = rng.random(shots * n_draws).reshape(shots, n_draws)
+    # (next step, state, registers, shot indices, next draw column)
+    stack = [(0, StateVector.zeros(circuit.n_qubits), {}, np.arange(shots), 0)]
+    while stack:
+        start, state, registers, idx, j = stack.pop()
+        for i in range(start, len(steps)):
+            step = steps[i]
+            if isinstance(step, MeasureStep):
+                flat, ks = _sample_branches(state, step.qubits, u[idx, j])
+                for k in np.flatnonzero(np.bincount(ks, minlength=flat.size)):
+                    bits, post = _collapse(state, step.qubits, int(k), float(flat[k]))
+                    regs = {**registers, step.key: "".join(str(b) for b in bits)}
+                    stack.append((i + 1, post, regs, idx[ks == k], j + 1))
+                break
             if step.condition is not None:
                 reg, want = step.condition
                 if int(registers[reg], 2) != want:
                     continue
             state = apply_gate(state, step.gate, step.targets)
-    return state, registers
+        else:
+            emit(idx, registers, state)
+
+
+def execute(circuit: Circuit, rng: np.random.Generator):
+    """Run one shot. Returns (final StateVector, register map of bitstrings).
+
+    Draws one uniform per MeasureStep from `rng`, in circuit order.
+    """
+    leaves = []
+    _run_shots(circuit, 1, rng, lambda idx, registers, state: leaves.append((state, registers)))
+    return leaves[0]
 
 
 @dataclass
@@ -427,17 +489,24 @@ class ExperimentRecord:
 
 
 def run_circuit(circuit: Circuit, shots: int, seed: int) -> ExperimentRecord:
-    """Run `shots` independent shots from |0...0> with a seeded generator."""
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    rng = _rng(seed)
+    """Run `shots` independent shots from |0...0> with a seeded generator.
+
+    RNG contract: each shot consumes one uniform per MeasureStep, shots
+    in order (shot-major), so the record equals `shots` sequential
+    `execute` calls on one generator.  A circuit without measurements
+    draws nothing.
+    """
+    shots = _check_shots(shots)
     names = list(circuit.register_widths())
-    registers: dict = {k: [] for k in names}
-    for _ in range(shots):
-        _, regs = execute(circuit, rng)
+    out = {k: np.empty(shots, dtype=object) for k in names}
+
+    def emit(idx, registers, _state):
         for k in names:
-            registers[k].append(regs.get(k, ""))
-    return ExperimentRecord(shots, seed, circuit.digest(), registers)
+            out[k][idx] = registers[k]
+
+    _run_shots(circuit, shots, _rng(seed), emit)
+    return ExperimentRecord(shots, seed, circuit.digest(),
+                            {k: v.tolist() for k, v in out.items()})
 
 
 # ---------------------------------------------------------------------------

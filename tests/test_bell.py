@@ -157,6 +157,31 @@ def test_sampled_chsh_rejects_bad_shots():
         bell.sampled_chsh(settings, 0, seed=1)
 
 
+@pytest.mark.parametrize("shots", [2.5, True])
+def test_sampled_chsh_rejects_non_integral_shots(shots):
+    settings, _ = bell.optimal_settings(0.5)
+    with pytest.raises(ValueError, match="shots"):
+        bell.sampled_chsh(settings, shots, seed=1)
+
+
+def test_sampled_chsh_zero_branch_faults(monkeypatch):
+    class OnesRng:
+        """Picks pair QS; every uniform 1.0 draws the last branch, |11>."""
+
+        def integers(self, low, high, size):
+            return np.zeros(size, dtype=np.int64)
+
+        def random(self, size=None):
+            return np.ones(size)
+
+    monkeypatch.setattr(bell.qstate, "_rng", lambda seed: OnesRng())
+    # on |00> measured in Z x Z, |11> has probability exactly 0
+    settings = bell.ChshSettings(0.0, 0.0, 0.0)
+    with pytest.raises(bell.qstate.SimulationFault,
+                       match="collapse onto branch with probability 0.0"):
+        bell.sampled_chsh(settings, 10, seed=1)
+
+
 def test_violation_curve_rows():
     # the violation column is the excess over the classical bound of 2
     rows = bell.violation_curve([0.0, math.pi / 4])

@@ -157,7 +157,7 @@ def test_area_law_scan_small_lattice_regression():
     assert samples[12.5] == 0.0  # R = N + 1/2 traces everything
     pins = {
         1.5: 0.5963386774181203,
-        4.5: 5.857947105549305,
+        4.5: 5.857947104608070,  # 50-digit mpmath sum over l = 0..150
         8.5: 20.61772834152986,
         11.5: 32.726753621806694,
     }

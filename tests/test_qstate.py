@@ -176,6 +176,57 @@ def test_measure_zero_branch_faults():
         qstate.measure(st, [0], OneRng())
 
 
+class _OnesRng:
+    """Generator stub whose uniforms are all 1.0, the top of the last branch."""
+
+    def random(self, size=None):
+        return np.ones(size)
+
+
+def test_run_circuit_zero_branch_faults(monkeypatch):
+    # measuring |0> with u = 1 draws the last branch, |1>, of probability 0
+    # (flip_circuit cannot fault: its drawn branch always has probability 1)
+    monkeypatch.setattr(qstate, "_rng", lambda seed: _OnesRng())
+    circuit = qstate.Circuit(1).add_measure([0], "m")
+    with pytest.raises(qstate.SimulationFault, match="collapse onto branch with probability 0.0"):
+        qstate.run_circuit(circuit, 5, 1)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("make", [
+    qstate.flip_circuit,
+    qstate.bell_pair_circuit,
+    lambda: qstate.exchange_circuit(0.5),
+    lambda: qstate.teleport_circuit(0.103, 0.456, deferred=False),
+])
+def test_execute_is_shot_zero_of_run_circuit(make, seed):
+    circuit = make()
+    _, registers = qstate.execute(circuit, qstate._rng(seed))
+    record = qstate.run_circuit(circuit, 1, seed)
+    assert registers == {k: v[0] for k, v in record.registers.items()}
+
+
+def test_run_circuit_without_measurement_draws_nothing(monkeypatch):
+    real_rng = qstate._rng
+    made = []
+
+    def spy(seed):
+        made.append(real_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(qstate, "_rng", spy)
+    circuit = qstate.Circuit(2).add_gate("H", [0]).add_gate("CNOT", [0, 1])
+    record = qstate.run_circuit(circuit, 7, 4)
+    assert record.registers == {}
+    assert made[0].bit_generator.state == _rng(4).bit_generator.state
+
+
+@pytest.mark.parametrize("shots", [2.5, True, "3"])
+def test_run_circuit_rejects_non_integral_shots(shots):
+    with pytest.raises(ValueError, match="shots"):
+        qstate.run_circuit(qstate.flip_circuit(), shots, 1)
+
+
 def test_bloch_vector_basics():
     st = qstate.StateVector.computational([1])
     assert qstate.bloch_vector(st, 0).z == pytest.approx(-1.0, abs=1e-12)
