@@ -135,6 +135,23 @@ def test_sampled_chsh_pair_estimates_track_analytic():
         assert abs(getattr(res, name) - getattr(exact, name)) < 5 * se
 
 
+def test_sampled_chsh_matches_per_shot_loop():
+    # reference: one qstate.measure per shot, after all the basis picks
+    settings, _ = bell.optimal_settings(0.6)
+    rng = bell.qstate._rng(5)
+    base = bell.entangled_state(settings.alpha)
+    rotated = [bell._rotated_for_measurement(base, ga, gb)
+               for ga in (0.0, math.pi / 2) for gb in (settings.beta, settings.beta_prime)]
+    sums, counts = [0] * 4, [0] * 4
+    for k in rng.integers(0, 4, size=3000):
+        bits, _ = bell.qstate.measure(rotated[k], [0, 1], rng)
+        sums[k] += (1 - 2 * bits[0]) * (1 - 2 * bits[1])
+        counts[k] += 1
+    res = bell.sampled_chsh(settings, 3000, seed=5)
+    assert res.counts == tuple(counts)
+    assert (res.e_qs, res.e_qt, res.e_rs, res.e_rt) == tuple(s / n for s, n in zip(sums, counts))
+
+
 def test_sampled_chsh_deterministic_for_seed():
     settings, _ = bell.optimal_settings(0.9)
     a = bell.sampled_chsh(settings, 2000, seed=12)

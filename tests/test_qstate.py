@@ -206,6 +206,48 @@ def test_execute_is_shot_zero_of_run_circuit(make, seed):
     assert registers == {k: v[0] for k, v in record.registers.items()}
 
 
+def _per_shot_reference(circuit, shots, seed):
+    """Registers of the shot-by-shot loop: measure and apply_gate, one shot at a time."""
+    rng = _rng(seed)
+    out = {k: [] for k in circuit.register_widths()}
+    for _ in range(shots):
+        state = qstate.StateVector.zeros(circuit.n_qubits)
+        regs = {}
+        for step in circuit.steps:
+            if isinstance(step, qstate.MeasureStep):
+                bits, state = qstate.measure(state, step.qubits, rng)
+                regs[step.key] = "".join(str(b) for b in bits)
+            elif step.condition is None or int(regs[step.condition[0]], 2) == step.condition[1]:
+                state = qstate.apply_gate(state, step.gate, step.targets)
+        for k in out:
+            out[k].append(regs[k])
+    return out
+
+
+def _mixed_circuit():
+    """Multi-qubit registers read out of qubit order, conditions on 2-bit values."""
+    c = qstate.Circuit(3)
+    c.add_gate("H", [0]).add_gate("XPow", [1], (0.3,)).add_gate("CNOT", [0, 2])
+    c.add_gate("YPow", [2], (0.4,))
+    c.add_measure([2, 0], "a")
+    c.add_gate("YPow", [1], (0.7,), condition=("a", 2))
+    c.add_gate("H", [2], condition=("a", 3))
+    c.add_measure([1], "b")
+    c.add_gate("X", [0], condition=("b", 1)).add_gate("H", [0])
+    return c.add_measure([0, 1, 2], "c")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("make", [
+    _mixed_circuit,
+    lambda: qstate.teleport_circuit(0.3, 1.1, deferred=False),
+])
+def test_run_circuit_matches_per_shot_loop(make, seed):
+    circuit = make()
+    assert qstate.run_circuit(circuit, 300, seed).registers == \
+        _per_shot_reference(circuit, 300, seed)
+
+
 def test_run_circuit_without_measurement_draws_nothing(monkeypatch):
     real_rng = qstate._rng
     made = []
