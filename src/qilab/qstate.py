@@ -429,25 +429,33 @@ def _run_shots(circuit: Circuit, shots: int, rng: np.random.Generator, emit) -> 
     the scalar stream).  The circuit is walked once per distinct outcome
     history: at each MeasureStep the shots on that history are routed
     together through _sample_branches, and each drawn branch is
-    collapsed once.  Conditions skip gates only, never draws, and are
-    evaluated from the branch's own registers.  Each leaf calls
+    collapsed once, when it is taken off the stack, so pending branches
+    share their parent's state and at most one collapsed state per
+    MeasureStep is alive.  Conditions skip gates only, never draws, and
+    are evaluated from the branch's own registers.  Each leaf calls
     emit(shot indices, registers, final state).
     """
     steps = circuit.steps
     n_draws = sum(isinstance(s, MeasureStep) for s in steps)
     u = rng.random(shots * n_draws).reshape(shots, n_draws)
-    # (next step, state, registers, shot indices, next draw column)
-    stack = [(0, StateVector.zeros(circuit.n_qubits), {}, np.arange(shots), 0)]
+    # (step, state, registers, shot indices, draw column, pending branch):
+    # the pending (k, p) is the outcome of MeasureStep `step` to collapse
+    # `state` onto before walking on from step + 1
+    stack = [(0, StateVector.zeros(circuit.n_qubits), {}, np.arange(shots), 0, None)]
     while stack:
-        start, state, registers, idx, j = stack.pop()
+        start, state, registers, idx, j, pending = stack.pop()
+        if pending is not None:
+            step = steps[start]
+            bits, state = _collapse(state, step.qubits, *pending)
+            registers = {**registers, step.key: "".join(str(b) for b in bits)}
+            start += 1
         for i in range(start, len(steps)):
             step = steps[i]
             if isinstance(step, MeasureStep):
                 flat, ks = _sample_branches(state, step.qubits, u[idx, j])
                 for k in np.flatnonzero(np.bincount(ks, minlength=flat.size)):
-                    bits, post = _collapse(state, step.qubits, int(k), float(flat[k]))
-                    regs = {**registers, step.key: "".join(str(b) for b in bits)}
-                    stack.append((i + 1, post, regs, idx[ks == k], j + 1))
+                    stack.append((i, state, registers, idx[ks == k], j + 1,
+                                  (int(k), float(flat[k]))))
                 break
             if step.condition is not None:
                 reg, want = step.condition

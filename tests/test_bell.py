@@ -170,15 +170,9 @@ def test_sampled_chsh_empty_pair():
 
 def test_sampled_chsh_rejects_bad_shots():
     settings, _ = bell.optimal_settings(0.5)
-    with pytest.raises(ValueError):
-        bell.sampled_chsh(settings, 0, seed=1)
-
-
-@pytest.mark.parametrize("shots", [2.5, True])
-def test_sampled_chsh_rejects_non_integral_shots(shots):
-    settings, _ = bell.optimal_settings(0.5)
-    with pytest.raises(ValueError, match="shots"):
-        bell.sampled_chsh(settings, shots, seed=1)
+    for shots in (0, 2.5, True):
+        with pytest.raises(ValueError, match="shots"):
+            bell.sampled_chsh(settings, shots, seed=1)
 
 
 def test_sampled_chsh_zero_branch_faults(monkeypatch):

@@ -1,6 +1,7 @@
 """Circuit engine tests: gate algebra, measurement, catalog circuits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,26 @@ def test_run_circuit_matches_per_shot_loop(make, seed):
     circuit = make()
     assert qstate.run_circuit(circuit, 300, seed).registers == \
         _per_shot_reference(circuit, 300, seed)
+
+
+def test_run_circuit_wide_register_keeps_few_states():
+    # one MeasureStep on 10 qubits of |+...+> draws ~400 distinct branches
+    # in 500 shots; collapsing them all before walking on would hold ~400
+    # states of 16 KiB (6 MiB) at once
+    c = qstate.Circuit(10)
+    for q in range(10):
+        c.add_gate("H", [q])
+    c.add_measure(list(range(10)), "m")
+    c.add_gate("X", [0], condition=("m", 5)).add_measure([0], "b")
+    qstate.run_circuit(c, 5, 7)  # first-call imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        record = qstate.run_circuit(c, 500, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert record.registers == _per_shot_reference(c, 500, 7)
 
 
 def test_run_circuit_without_measurement_draws_nothing(monkeypatch):
