@@ -403,3 +403,44 @@ def test_statevector_validation():
         qstate.StateVector(1, np.array([1.0, 1.0], dtype=complex))  # not normalized
     with pytest.raises(ValueError):
         qstate.StateVector(2, np.array([1.0, 0.0], dtype=complex))  # wrong size
+
+
+def _apply_gate(qubits):
+    gate = qstate.standard_gate("CNOT" if len(qubits) == 2 else "X")
+    return qstate.apply_gate(qstate.StateVector.zeros(2), gate, qubits)
+
+
+def _measure(qubits):
+    return qstate.measure(qstate.StateVector.zeros(2), qubits, _rng())
+
+
+def _add_gate(qubits):
+    return qstate.Circuit(2).add_gate("CNOT" if len(qubits) == 2 else "X", qubits)
+
+
+def _add_measure(qubits):
+    return qstate.Circuit(2).add_measure(qubits, "m")
+
+
+@pytest.mark.parametrize("qubits", [[0, 0], [2], [-1], [0.7], [True], []],
+                         ids=["duplicate", "out-of-range", "negative", "0.7", "True", "empty"])
+@pytest.mark.parametrize("entry", [_apply_gate, _measure, _add_gate, _add_measure],
+                         ids=["apply_gate", "measure", "add_gate", "add_measure"])
+def test_qubit_lists_are_checked(entry, qubits):
+    with pytest.raises(ValueError, match="qubit"):
+        entry(qubits)
+
+
+def test_circuit_stores_qubits_as_python_ints():
+    c = qstate.Circuit(2).add_gate("CNOT", np.array([1, 0])).add_measure(np.arange(2), "m")
+    gate, meas = c.steps
+    assert gate.targets == (1, 0) and meas.qubits == (0, 1)
+    assert all(type(q) is int for q in gate.targets + meas.qubits)
+
+
+@pytest.mark.parametrize("width,value", [(1, -1), (1, 2), (1, 5), (2, 4)])
+def test_add_gate_rejects_condition_that_cannot_match(width, value):
+    c = qstate.Circuit(2).add_measure(list(range(width)), "m")
+    with pytest.raises(ValueError, match="condition"):
+        c.add_gate("X", [1], condition=("m", value))
+    c.add_gate("X", [1], condition=("m", 2**width - 1))  # the largest value is fine
