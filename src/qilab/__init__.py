@@ -4,195 +4,23 @@ Pure-state circuits with measurement, density matrices and entropy,
 closed-form spin-exchange dynamics with Kraus extraction, CHSH
 correlation tests, coupled-oscillator entanglement entropy, and a
 digitized scalar field with a truncated gauge model.
+
+The package exports the union of its modules' ``__all__`` lists, which
+are the one place each public name is declared.
 """
 
-from .bell import (
-    ChshResult,
-    ChshSettings,
-    SampledChshResult,
-    chsh_expectations,
-    classical_bound_check,
-    entangled_state,
-    fixed_settings,
-    optimal_settings,
-    sampled_chsh,
-    violation_curve,
-)
-from .density import (
-    DensityMatrix,
-    EntropyReport,
-    bloch_ball_analysis,
-    entropy_bits,
-    from_statevector,
-    mutual_information,
-    partial_trace,
-    purity,
-    von_neumann_entropy,
-)
-from .dynamics import (
-    HamiltonianSpec,
-    KrausSet,
-    OperatorString,
-    ReducedSample,
-    build_hamiltonian,
-    decoherence_hamiltonian,
-    evolve,
-    from_dense,
-    kraus_extract,
-    measurement_hamiltonian,
-    propagator,
-    rabi_hamiltonian,
-    reduced_evolution,
-    swap_measurement_demo,
-)
-from .info import (
-    BitFlipNoise,
-    Distribution,
-    bayes_posterior,
-    biased_coin_curve,
-    readout_distribution,
-    shannon_entropy,
-)
-from .lattice import (
-    DigitizedField,
-    FidelityReport,
-    GroundState,
-    PauliDecomposition,
-    SchwingerParams,
-    digitize,
-    gauss_report,
-    hermite_eigenfunction,
-    nyquist_L,
-    sampling_fidelity,
-    sampling_grid,
-    schwinger_evolve,
-    schwinger_ground_state,
-    schwinger_h4,
-    schwinger_project,
-)
-from .oscillators import (
-    CouplingMatrix,
-    EntropyCurve,
-    TfdPair,
-    area_law_scan,
-    correlators,
-    fit_area_coefficient,
-    partition_function,
-    radial_K,
-    subsystem_entropy,
-    tfd_coupling,
-    tfd_pair,
-    thermal_entropy,
-)
-from .qstate import (
-    BlochVector,
-    Circuit,
-    ExperimentRecord,
-    Gate,
-    SimulationFault,
-    StateVector,
-    TeleportResult,
-    apply_gate,
-    bell_basis_rotation,
-    bell_pair_circuit,
-    bloch_vector,
-    execute,
-    exchange_circuit,
-    flip_circuit,
-    measure,
-    render_circuit,
-    run_circuit,
-    standard_gate,
-    teleport,
-    teleport_circuit,
-)
+from . import bell, density, dynamics, info, lattice, oscillators, qstate
+from .bell import *
+from .density import *
+from .dynamics import *
+from .info import *
+from .lattice import *
+from .oscillators import *
+from .qstate import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BitFlipNoise",
-    "BlochVector",
-    "ChshResult",
-    "ChshSettings",
-    "Circuit",
-    "CouplingMatrix",
-    "DensityMatrix",
-    "DigitizedField",
-    "Distribution",
-    "EntropyCurve",
-    "EntropyReport",
-    "ExperimentRecord",
-    "FidelityReport",
-    "Gate",
-    "GroundState",
-    "HamiltonianSpec",
-    "KrausSet",
-    "OperatorString",
-    "PauliDecomposition",
-    "ReducedSample",
-    "SampledChshResult",
-    "SchwingerParams",
-    "SimulationFault",
-    "StateVector",
-    "TeleportResult",
-    "TfdPair",
-    "apply_gate",
-    "area_law_scan",
-    "bayes_posterior",
-    "bell_basis_rotation",
-    "bell_pair_circuit",
-    "biased_coin_curve",
-    "bloch_ball_analysis",
-    "bloch_vector",
-    "build_hamiltonian",
-    "chsh_expectations",
-    "classical_bound_check",
-    "correlators",
-    "decoherence_hamiltonian",
-    "digitize",
-    "entangled_state",
-    "entropy_bits",
-    "evolve",
-    "exchange_circuit",
-    "execute",
-    "fit_area_coefficient",
-    "fixed_settings",
-    "flip_circuit",
-    "from_dense",
-    "from_statevector",
-    "gauss_report",
-    "hermite_eigenfunction",
-    "kraus_extract",
-    "measure",
-    "measurement_hamiltonian",
-    "mutual_information",
-    "nyquist_L",
-    "optimal_settings",
-    "partial_trace",
-    "partition_function",
-    "propagator",
-    "purity",
-    "rabi_hamiltonian",
-    "radial_K",
-    "readout_distribution",
-    "reduced_evolution",
-    "render_circuit",
-    "run_circuit",
-    "sampled_chsh",
-    "sampling_fidelity",
-    "sampling_grid",
-    "schwinger_evolve",
-    "schwinger_ground_state",
-    "schwinger_h4",
-    "schwinger_project",
-    "shannon_entropy",
-    "standard_gate",
-    "subsystem_entropy",
-    "swap_measurement_demo",
-    "teleport",
-    "teleport_circuit",
-    "tfd_coupling",
-    "tfd_pair",
-    "thermal_entropy",
-    "von_neumann_entropy",
-]
+__all__ = sorted({
+    *bell.__all__, *density.__all__, *dynamics.__all__, *info.__all__,
+    *lattice.__all__, *oscillators.__all__, *qstate.__all__,
+})

@@ -40,31 +40,33 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _table_text(args: argparse.Namespace, columns, rows) -> str:
-    if args.format == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(_fnum(v) for v in row) for row in rows]
-        return "\n".join(lines) + "\n"
-    return _json_text({"columns": list(columns),
-                       "rows": [[float(v) for v in row] for row in rows]})
-
-
 def _emit_table(args: argparse.Namespace, columns, rows,
                 extra: dict | None = None) -> dict:
-    """Write the table for this subcommand; extra merges into a JSON payload."""
+    """Write the table for this subcommand as <name>.csv or <name>.json.
+
+    extra merges into a JSON table, or goes beside a CSV table as the
+    sidecar <name>.json.
+    """
     name = args.subcommand
-    if args.format == "json" and extra is not None:
-        payload = dict(extra)
-        payload["columns"] = list(columns)
-        payload["rows"] = [[float(v) for v in row] for row in rows]
-        path = _write(args, f"{name}.json", _json_text(payload))
-        return {"file": path, "rows": len(rows)}
-    path = _write(args, f"{name}.{args.format}", _table_text(args, columns, rows))
-    out = {"file": path, "rows": len(rows)}
+    if args.format == "json":
+        payload = {**(extra or {}), "columns": list(columns),
+                   "rows": [[float(v) for v in row] for row in rows]}
+        return {"file": _write(args, f"{name}.json", _json_text(payload)),
+                "rows": len(rows)}
+    lines = [",".join(columns)] + [",".join(_fnum(v) for v in row) for row in rows]
+    out = {"file": _write(args, f"{name}.csv", "\n".join(lines) + "\n"),
+           "rows": len(rows)}
     if extra is not None:
-        side = _write(args, f"{name}.json", _json_text(extra))
-        out["sidecar"] = side
+        out["sidecar"] = _write(args, f"{name}.json", _json_text(extra))
     return out
+
+
+def _transcript(args: argparse.Namespace, record_json: str, lines) -> str:
+    """Write <name>.json (the shot records) and <name>.txt; return the transcript."""
+    _write(args, f"{args.subcommand}.json", record_json)
+    transcript = "\n".join(lines) + "\n"
+    _write(args, f"{args.subcommand}.txt", transcript)
+    return transcript
 
 
 def _bloch_text(bv) -> str:
@@ -106,10 +108,7 @@ def _experiment1(args: argparse.Namespace) -> str:
         f"Results of {args.shots} trials:", "",
         "Final state=" + record.qubit_stream("Final state", 0),
     ]
-    _write(args, "experiment1.json", record.to_json() + "\n")
-    transcript = "\n".join(lines) + "\n"
-    _write(args, "experiment1.txt", transcript)
-    return transcript
+    return _transcript(args, record.to_json() + "\n", lines)
 
 
 def _experiment2(args: argparse.Namespace) -> str:
@@ -128,10 +127,7 @@ def _experiment2(args: argparse.Namespace) -> str:
         "Results:", "",
         "Final state=" + streams,
     ]
-    _write(args, "experiment2.json", record.to_json() + "\n")
-    transcript = "\n".join(lines) + "\n"
-    _write(args, "experiment2.txt", transcript)
-    return transcript
+    return _transcript(args, record.to_json() + "\n", lines)
 
 
 def _experiment3(args: argparse.Namespace) -> str:
@@ -147,10 +143,7 @@ def _experiment3(args: argparse.Namespace) -> str:
         lines += ["", f"Results for t = {t:g}:", ""]
         for key in ("q0", "q1"):
             lines.append(f"{key}=" + record.qubit_stream(key, 0))
-    _write(args, "experiment3.json", _json_text({"runs": records}))
-    transcript = "\n".join(lines) + "\n"
-    _write(args, "experiment3.txt", transcript)
-    return transcript
+    return _transcript(args, _json_text({"runs": records}), lines)
 
 
 def _teleport_transcript(args: argparse.Namespace, deferred: bool) -> str:
@@ -168,10 +161,7 @@ def _teleport_transcript(args: argparse.Namespace, deferred: bool) -> str:
         "Bloch Sphere of the Message qubit in the final state:", "",
         _bloch_text(result.message_final),
     ]
-    _write(args, f"{args.subcommand}.json", record.to_json() + "\n")
-    transcript = "\n".join(lines) + "\n"
-    _write(args, f"{args.subcommand}.txt", transcript)
-    return transcript
+    return _transcript(args, record.to_json() + "\n", lines)
 
 
 # ---------------------------------------------------------------------------

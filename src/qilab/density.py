@@ -12,6 +12,18 @@ import numpy as np
 
 from .qstate import BlochVector, SimulationFault, StateVector
 
+__all__ = [
+    "DensityMatrix",
+    "from_statevector",
+    "partial_trace",
+    "purity",
+    "entropy_bits",
+    "EntropyReport",
+    "von_neumann_entropy",
+    "mutual_information",
+    "bloch_ball_analysis",
+]
+
 _HERM_ATOL = 1e-12
 _EIG_CLAMP = 1e-10
 

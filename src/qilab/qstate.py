@@ -16,6 +16,29 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+__all__ = [
+    "SimulationFault",
+    "Gate",
+    "standard_gate",
+    "StateVector",
+    "apply_gate",
+    "bell_basis_rotation",
+    "measure",
+    "BlochVector",
+    "bloch_vector",
+    "Circuit",
+    "execute",
+    "ExperimentRecord",
+    "run_circuit",
+    "flip_circuit",
+    "bell_pair_circuit",
+    "exchange_circuit",
+    "teleport_circuit",
+    "TeleportResult",
+    "teleport",
+    "render_circuit",
+]
+
 _ATOL_UNITARY = 1e-12
 _MIN_BRANCH_PROB = 1e-15
 
@@ -169,6 +192,29 @@ class StateVector:
         return float(abs(np.vdot(self.amplitudes, other.amplitudes)))
 
 
+def _is_int(v) -> bool:
+    # bool is an Integral too, but True is a bug, not the number 1
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _check_qubits(qubits: Sequence[int], n: int, what: str) -> tuple:
+    """`qubits` as a tuple of ints: nonempty, distinct, each in range(n).
+
+    `what` names them in the error, e.g. "target qubit".
+    """
+    qubits = tuple(qubits)
+    if not qubits:
+        raise ValueError(f"no {what}s given")
+    for q in qubits:
+        if not _is_int(q):
+            raise ValueError(f"{what} must be an integer, got {q!r}")
+        if not 0 <= q < n:
+            raise ValueError(f"{what} {q} out of range for {n} qubits")
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"duplicate {what}s")
+    return tuple(int(q) for q in qubits)
+
+
 def apply_gate(state: StateVector, gate: Gate, targets: Sequence[int]) -> StateVector:
     """Apply a gate to the listed target qubits.
 
@@ -176,14 +222,9 @@ def apply_gate(state: StateVector, gate: Gate, targets: Sequence[int]) -> StateV
     gate's own basis index (the control for CNOT/CY/CZ).
     """
     n = state.n_qubits
-    targets = list(targets)
+    targets = _check_qubits(targets, n, "target qubit")
     if len(targets) != gate.arity:
         raise ValueError(f"gate {gate.name} wants {gate.arity} targets, got {len(targets)}")
-    if len(set(targets)) != len(targets):
-        raise ValueError("duplicate target qubits")
-    for q in targets:
-        if not 0 <= q < n:
-            raise ValueError(f"target {q} out of range for {n} qubits")
     psi = state.amplitudes.reshape([2] * n)
     k = gate.arity
     u = gate.matrix.reshape([2] * (2 * k))
@@ -266,13 +307,7 @@ def measure(state: StateVector, qubits: Sequence[int], rng: np.random.Generator)
     Sampling draws one uniform variate and inverts the cumulative
     distribution, so a fixed generator state gives a fixed outcome.
     """
-    n = state.n_qubits
-    qubits = list(qubits)
-    if len(set(qubits)) != len(qubits):
-        raise ValueError("duplicate measured qubits")
-    for q in qubits:
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range for {n} qubits")
+    qubits = _check_qubits(qubits, state.n_qubits, "measured qubit")
     flat, k = _sample_branches(state, qubits, rng.random())
     return _collapse(state, qubits, int(k), float(flat[k]))
 
@@ -345,29 +380,23 @@ class Circuit:
     def add_gate(self, name: str, targets: Sequence[int], params: Iterable[float] = (),
                  condition: Optional[tuple] = None) -> "Circuit":
         gate = standard_gate(name, *params)
-        targets = tuple(int(q) for q in targets)
+        targets = _check_qubits(targets, self.n_qubits, "target qubit")
         if len(targets) != gate.arity:
             raise ValueError(f"gate {name} wants {gate.arity} targets, got {len(targets)}")
-        if len(set(targets)) != len(targets):
-            raise ValueError("duplicate target qubits")
-        for q in targets:
-            if not 0 <= q < self.n_qubits:
-                raise ValueError(f"target {q} out of range")
         if condition is not None:
             reg, val = condition
             if reg not in self._registers:
                 raise ValueError(f"condition register {reg!r} not measured earlier")
+            width = self._registers[reg]
+            if not (_is_int(val) and 0 <= val < 2**width):
+                raise ValueError(f"condition value {val!r} can never match "
+                                 f"the {width}-bit register {reg!r}")
             condition = (str(reg), int(val))
         self.steps.append(GateStep(gate, targets, condition))
         return self
 
     def add_measure(self, qubits: Sequence[int], key: str) -> "Circuit":
-        qubits = tuple(int(q) for q in qubits)
-        if len(set(qubits)) != len(qubits):
-            raise ValueError("duplicate measured qubits")
-        for q in qubits:
-            if not 0 <= q < self.n_qubits:
-                raise ValueError(f"qubit {q} out of range")
+        qubits = _check_qubits(qubits, self.n_qubits, "measured qubit")
         if key in self._registers:
             raise ValueError(f"register {key!r} already used")
         self._registers[key] = len(qubits)
@@ -412,8 +441,7 @@ class Circuit:
 
 
 def _check_shots(shots) -> int:
-    # bool is an Integral too, but True shots is a bug, not one shot
-    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
+    if not _is_int(shots):
         raise ValueError(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise ValueError("shots must be positive")

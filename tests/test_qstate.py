@@ -438,7 +438,7 @@ def test_circuit_stores_qubits_as_python_ints():
     assert all(type(q) is int for q in gate.targets + meas.qubits)
 
 
-@pytest.mark.parametrize("width,value", [(1, -1), (1, 2), (1, 5), (2, 4)])
+@pytest.mark.parametrize("width,value", [(1, -1), (1, 2), (1, 5), (2, 4), (1, 0.7), (1, True)])
 def test_add_gate_rejects_condition_that_cannot_match(width, value):
     c = qstate.Circuit(2).add_measure(list(range(width)), "m")
     with pytest.raises(ValueError, match="condition"):
