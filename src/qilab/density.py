@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qstate import BlochVector, SimulationFault, StateVector
+from .qstate import BlochVector, SimulationFault, StateVector, _check_qubits
 
 __all__ = [
     "DensityMatrix",
@@ -75,16 +75,12 @@ def from_statevector(state: StateVector) -> DensityMatrix:
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     """Trace out every qubit not in `keep`.
 
-    Kept qubits appear in the result in ascending original order. Works by
-    index arithmetic on the reshaped 2n-axis tensor, no projector matrices.
+    Kept qubits appear in the result in ascending original order, and a
+    qubit listed twice is kept once. Works by index arithmetic on the
+    reshaped 2n-axis tensor, no projector matrices.
     """
     n = rho.n_qubits
-    keep = sorted(set(int(q) for q in keep))
-    for q in keep:
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range for {n} qubits")
-    if not keep:
-        raise ValueError("keep must be nonempty (the trace of rho is 1 trivially)")
+    keep = _check_qubits(sorted(set(keep)), n, "qubit")
     if len(keep) == n:
         return rho
     traced = [q for q in range(n) if q not in keep]
@@ -133,9 +129,9 @@ def von_neumann_entropy(rho: DensityMatrix) -> EntropyReport:
 def mutual_information(rho_ab: DensityMatrix, partition: Sequence[int]) -> float:
     """MI = S_A + S_B - S_AB for the bipartition (partition, complement)."""
     n = rho_ab.n_qubits
-    part_a = sorted(set(int(q) for q in partition))
+    part_a = _check_qubits(sorted(set(partition)), n, "qubit")
     part_b = [q for q in range(n) if q not in part_a]
-    if not part_a or not part_b:
+    if not part_b:
         raise ValueError("partition must be a nonempty proper subset")
     s_a = von_neumann_entropy(partial_trace(rho_ab, part_a)).entropy_bits
     s_b = von_neumann_entropy(partial_trace(rho_ab, part_b)).entropy_bits

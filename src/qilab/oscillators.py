@@ -19,6 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .qstate import _is_int
+
 __all__ = [
     "CouplingMatrix",
     "CorrelatorPair",
@@ -219,9 +221,11 @@ def subsystem_entropy(K: CouplingMatrix, keep) -> float:
     to working precision.  The symplectic values c_k feed the c-form
     entropy.
     """
-    keep = sorted(set(int(i) for i in keep))
+    keep = sorted(set(keep))
     if not keep:
         raise ValueError("keep must be nonempty")
+    if not all(map(_is_int, keep)):
+        raise ValueError(f"keep indices must be integers, got {keep}")
     if keep[0] < 0 or keep[-1] >= K.n:
         raise ValueError(f"keep indices out of range for n={K.n}")
     X, P = correlators(K)

@@ -225,21 +225,20 @@ def apply_gate(state: StateVector, gate: Gate, targets: Sequence[int]) -> StateV
     targets = _check_qubits(targets, n, "target qubit")
     if len(targets) != gate.arity:
         raise ValueError(f"gate {gate.name} wants {gate.arity} targets, got {len(targets)}")
-    psi = state.amplitudes.reshape([2] * n)
-    k = gate.arity
-    u = gate.matrix.reshape([2] * (2 * k))
-    # einsum subscripts: U[out_axes, in_axes] * psi[..., in_axes, ...]
-    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    psi_sub = list(letters[:n])
-    out_sub = list(psi_sub)
-    u_sub = []
-    for i, q in enumerate(targets):
-        u_sub.append(letters[n + i])
-        out_sub[q] = letters[n + i]
-    for q in targets:
-        u_sub.append(psi_sub[q])
-    new = np.einsum("".join(u_sub) + "," + "".join(psi_sub) + "->" + "".join(out_sub), u, psi)
+    u = gate.matrix.reshape([2] * (2 * gate.arity))
+    new = _apply_local(u, state.amplitudes.reshape([2] * n), targets)
     return StateVector(n, new.reshape(-1))
+
+
+def _apply_local(op: np.ndarray, tensor: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Apply `op`, shaped (out axes..., in axes...), to `axes` of a tensor
+    whose axes may have any sizes; the other axes pass through."""
+    n = tensor.ndim
+    new = list(range(n, n + len(axes)))
+    out = list(range(n))
+    for a, b in zip(axes, new):
+        out[a] = b
+    return np.einsum(op, new + list(axes), tensor, list(range(n)), out)
 
 
 def bell_basis_rotation(state: StateVector, q0: int, q1: int, inverse: bool = False) -> StateVector:
@@ -327,6 +326,7 @@ def bloch_vector(state, qubit: int) -> BlochVector:
     or raw density matrix array."""
     if isinstance(state, StateVector):
         n = state.n_qubits
+        (qubit,) = _check_qubits([qubit], n, "qubit")
         view = np.moveaxis(state.amplitudes.reshape([2] * n), qubit, 0).reshape(2, -1)
         a0, a1 = view[0], view[1]
         r01 = complex(np.sum(a0 * a1.conj()))
@@ -334,6 +334,7 @@ def bloch_vector(state, qubit: int) -> BlochVector:
     else:
         m = np.asarray(getattr(state, "matrix", state), dtype=complex)
         n = int(round(math.log2(m.shape[0])))
+        (qubit,) = _check_qubits([qubit], n, "qubit")
         view = m.reshape([2] * (2 * n))
         view = np.moveaxis(view, (qubit, n + qubit), (0, 1))
         d = 2 ** (n - 1)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qilab import density, qstate
+from qilab import density, oscillators, qstate
 
 
 def _rng(seed=0):
@@ -156,3 +156,14 @@ def test_bloch_ball_analysis_hits_determinant_identity():
         assert s == pytest.approx(
             density.von_neumann_entropy(rho).entropy_bits, abs=1e-10)
         assert rad == pytest.approx(np.linalg.norm(vec), abs=1e-12)
+
+
+@pytest.mark.parametrize("indices", [[0.7], [1.5], [True]], ids=["0.7", "1.5", "True"])
+@pytest.mark.parametrize("entry", [
+    lambda keep: density.partial_trace(_bell_rho(), keep),
+    lambda keep: density.mutual_information(_bell_rho(), keep),
+    lambda keep: oscillators.subsystem_entropy(oscillators.tfd_coupling(0.5), keep),
+], ids=["partial_trace", "mutual_information", "subsystem_entropy"])
+def test_index_lists_must_hold_integers(entry, indices):
+    with pytest.raises(ValueError, match="integer"):
+        entry(indices)

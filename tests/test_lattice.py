@@ -1,6 +1,7 @@
 """Field-digitization and truncated gauge-model tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,27 @@ def test_projection_matches_reference_hamiltonian():
         p = lattice.SchwingerParams(x=x, mu=mu)
         got = lattice.schwinger_project(p)
         assert np.allclose(got, lattice.schwinger_h4(p), atol=1e-10)
+
+
+def test_projection_mismatch_with_closed_form_is_an_error(monkeypatch):
+    p = lattice.SchwingerParams(x=0.5, mu=0.1)
+    perturbed = lattice.schwinger_h4(p) + 1e-6 * np.eye(4)
+    monkeypatch.setattr(lattice, "schwinger_h4", lambda params: perturbed)
+    with pytest.raises(ArithmeticError, match="schwinger_h4"):
+        lattice.schwinger_project(p)
+
+
+def test_projection_never_builds_the_full_space_operator():
+    # one dense operator on the 16 x 81 fermion-flux space is 13 MB
+    p = lattice.SchwingerParams(0.5, 0.1)
+    lattice.schwinger_project(p)  # first-call imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        lattice.schwinger_project(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_spectrum_invariant_under_coupling_sign():

@@ -306,6 +306,16 @@ def test_bloch_vector_of_entangled_qubit_is_zero():
         assert qstate.bloch_vector(st, q).r == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("qubit", [-1, 2, True, 0.7], ids=["negative", "n", "True", "0.7"])
+@pytest.mark.parametrize("as_matrix", [False, True], ids=["statevector", "density"])
+def test_bloch_vector_checks_its_qubit(as_matrix, qubit):
+    state = qstate.StateVector.computational([0, 1])
+    if as_matrix:
+        state = np.outer(state.amplitudes, state.amplitudes.conj())
+    with pytest.raises(ValueError, match="qubit"):
+        qstate.bloch_vector(state, qubit)
+
+
 def test_circuit_condition_requires_prior_measurement():
     c = qstate.Circuit(2)
     with pytest.raises(ValueError):
