@@ -3,14 +3,13 @@ mutual information, Bloch-ball geometry."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .qstate import BlochVector, SimulationFault, StateVector, _check_qubits
+from .qstate import SimulationFault, StateVector, _bloch, _check_indices, _trace_out
 
 __all__ = [
     "DensityMatrix",
@@ -54,17 +53,6 @@ class DensityMatrix:
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "matrix", m)
 
-    def to_json(self) -> str:
-        d = self.matrix.shape[0]
-        entries = [[v.real, v.imag] for v in self.matrix.reshape(-1)]
-        return json.dumps({"dim": d, "entries": entries})
-
-    @classmethod
-    def from_json(cls, blob: str) -> "DensityMatrix":
-        d = json.loads(blob)
-        m = np.array([complex(re, im) for re, im in d["entries"]])
-        return cls(m.reshape(d["dim"], d["dim"]))
-
 
 def from_statevector(state: StateVector) -> DensityMatrix:
     """The projector |psi><psi|."""
@@ -76,20 +64,12 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     """Trace out every qubit not in `keep`.
 
     Kept qubits appear in the result in ascending original order, and a
-    qubit listed twice is kept once. Works by index arithmetic on the
-    reshaped 2n-axis tensor, no projector matrices.
+    qubit listed twice is kept once.
     """
-    n = rho.n_qubits
-    keep = _check_qubits(sorted(set(keep)), n, "qubit")
-    if len(keep) == n:
+    keep = sorted(set(_check_indices(keep, rho.n_qubits, "qubit")))
+    if len(keep) == rho.n_qubits:
         return rho
-    traced = [q for q in range(n) if q not in keep]
-    t = rho.matrix.reshape([2] * (2 * n))
-    # pair up the row/col axes of each traced qubit
-    for i, q in enumerate(traced):
-        t = np.trace(t, axis1=q - i, axis2=q - i + n - i)
-    d = 2 ** len(keep)
-    return DensityMatrix(t.reshape(d, d), check_psd=False)
+    return DensityMatrix(_trace_out(rho.matrix, keep), check_psd=False)
 
 
 def _clamped_eigenvalues(rho: DensityMatrix) -> np.ndarray:
@@ -129,7 +109,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> EntropyReport:
 def mutual_information(rho_ab: DensityMatrix, partition: Sequence[int]) -> float:
     """MI = S_A + S_B - S_AB for the bipartition (partition, complement)."""
     n = rho_ab.n_qubits
-    part_a = _check_qubits(sorted(set(partition)), n, "qubit")
+    part_a = sorted(set(_check_indices(partition, n, "qubit")))
     part_b = [q for q in range(n) if q not in part_a]
     if not part_b:
         raise ValueError("partition must be a nonempty proper subset")
@@ -148,9 +128,7 @@ def bloch_ball_analysis(rho: DensityMatrix):
     if rho.matrix.shape != (2, 2):
         raise ValueError("bloch_ball_analysis takes a single-qubit state")
     m = rho.matrix
-    v = BlochVector(
-        float(2 * m[0, 1].real), float(-2 * m[0, 1].imag), float((m[0, 0] - m[1, 1]).real)
-    )
+    v = _bloch(m)
     r = v.r
     if r > 1 + 1e-9:
         raise ValueError(f"Bloch radius {r} outside the ball")

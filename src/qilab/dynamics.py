@@ -13,6 +13,7 @@ measurement demonstration.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -119,15 +120,8 @@ def from_dense(matrix) -> HamiltonianSpec:
     if np.max(np.abs(m - m.conj().T)) > 1e-12:
         raise ValueError("matrix must be Hermitian")
     dim = m.shape[0]
-    labels = "1xyz"
     terms = []
-    for idx in range(4**n):
-        factors = []
-        k = idx
-        for _ in range(n):
-            factors.append(labels[k % 4])
-            k //= 4
-        factors = tuple(reversed(factors))
+    for factors in itertools.product("1xyz", repeat=n):
         p = OperatorString(1.0, factors).dense()
         coeff = np.trace(p @ m) / dim
         if abs(coeff) > 1e-12:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import _is_int
+from .qstate import _check_indices
 
 __all__ = [
     "CouplingMatrix",
@@ -157,6 +157,10 @@ def tfd_coupling(theta: float, omega: float = 1.0) -> CouplingMatrix:
 # for their memory.
 _L_STACK = 8
 
+# area_law_scan's fit range, as a fraction of R, and its l-sum tail bound
+_FIT_FRACTION = 0.975
+_TAIL = 1e-3
+
 
 def _correlator_stack(K: np.ndarray) -> tuple:
     # X = K^{-1/2}/2 and P = K^{1/2}/2 for each matrix of a (..., n, n) stack
@@ -221,13 +225,7 @@ def subsystem_entropy(K: CouplingMatrix, keep) -> float:
     to working precision.  The symplectic values c_k feed the c-form
     entropy.
     """
-    keep = sorted(set(keep))
-    if not keep:
-        raise ValueError("keep must be nonempty")
-    if not all(map(_is_int, keep)):
-        raise ValueError(f"keep indices must be integers, got {keep}")
-    if keep[0] < 0 or keep[-1] >= K.n:
-        raise ValueError(f"keep indices out of range for n={K.n}")
+    keep = sorted(set(_check_indices(keep, K.n, "site")))
     X, P = correlators(K)
     order = keep + sorted(set(range(K.n)) - set(keep))
     block = np.ix_(order, order)
@@ -319,8 +317,7 @@ def _tail_below(term: float, prev: float, bound: float) -> bool:
     return rho < 1.0 and term * rho / (1.0 - rho) < bound
 
 
-def area_law_scan(N: int, l_max: int, fit_fraction: float = 0.975,
-                  tail: float = 1e-3) -> EntropyCurve:
+def area_law_scan(N: int, l_max: int) -> EntropyCurve:
     """Entanglement entropy of the outer shell versus inner radius.
 
     S(r) = sum_l (2l+1) S_l(r), sampled at r = j_max + 1/2 for
@@ -331,19 +328,17 @@ def area_law_scan(N: int, l_max: int, fit_fraction: float = 0.975,
     state is pure and both sides agree, with the l-channels taken in
     stacks of 8 per LAPACK call.  The l-sum for each radius stops once
     the geometric tail estimate term * rho/(1 - rho) (rho the
-    consecutive term ratio) falls below `tail` of the running sum, or
-    at the hard cap l_max (reported per radius in l_stop and capped);
+    consecutive term ratio) falls below 1e-3 of the running sum, or at
+    the hard cap l_max (reported per radius in l_stop and capped);
     terms are accumulated in ascending l for determinism, and the terms
     of a stack past a radius's stop are dropped.  The endpoints r = 1/2
     (keep everything, pure state) and r = R (keep nothing) are
-    exactly 0.
+    exactly 0.  fit_lambda fits S = lambda r^2 over r < 0.975 R.
     """
     if N < 10:
         raise ValueError("need N >= 10 for a meaningful scan")
     if l_max < 1:
         raise ValueError("need l_max >= 1")
-    if not 0.0 < fit_fraction <= 1.0:
-        raise ValueError("fit_fraction must lie in (0, 1]")
     S = np.zeros(N + 1)
     prev = np.zeros(N + 1)
     l_stop = np.full(N + 1, -1)
@@ -359,13 +354,13 @@ def area_law_scan(N: int, l_max: int, fit_fraction: float = 0.975,
             for l, term in zip(ls, row):
                 S[idx] += term
                 l_stop[idx] = l
-                if l >= 2 and _tail_below(term, prev[idx], tail * S[idx]):
+                if l >= 2 and _tail_below(term, prev[idx], _TAIL * S[idx]):
                     active[idx] = False
                     break
                 prev[idx] = term
     r = np.arange(N + 1) + 0.5
     samples = tuple((float(rv), float(sv)) for rv, sv in zip(r, S))
-    lam = fit_area_coefficient(samples, fit_fraction * (N + 0.5))
-    return EntropyCurve(N, l_max, samples, fit_fraction, lam,
+    lam = fit_area_coefficient(samples, _FIT_FRACTION * (N + 0.5))
+    return EntropyCurve(N, l_max, samples, _FIT_FRACTION, lam,
                         tuple(int(l) if l >= 0 else None for l in l_stop),
                         tuple(bool(a) for a in active))

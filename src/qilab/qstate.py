@@ -197,22 +197,28 @@ def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-def _check_qubits(qubits: Sequence[int], n: int, what: str) -> tuple:
-    """`qubits` as a tuple of ints: nonempty, distinct, each in range(n).
+def _check_indices(indices: Sequence[int], n: int, what: str) -> tuple:
+    """`indices` as a tuple of ints: nonempty, each an integer in range(n).
 
-    `what` names them in the error, e.g. "target qubit".
+    `what` names them in the error, e.g. "target qubit" or "site".
     """
-    qubits = tuple(qubits)
-    if not qubits:
+    indices = tuple(indices)
+    if not indices:
         raise ValueError(f"no {what}s given")
-    for q in qubits:
+    for q in indices:
         if not _is_int(q):
             raise ValueError(f"{what} must be an integer, got {q!r}")
         if not 0 <= q < n:
-            raise ValueError(f"{what} {q} out of range for {n} qubits")
+            raise ValueError(f"{what} {q} not in range({n})")
+    return tuple(int(q) for q in indices)
+
+
+def _check_qubits(qubits: Sequence[int], n: int, what: str) -> tuple:
+    """`qubits` as checked by _check_indices, and distinct."""
+    qubits = _check_indices(qubits, n, what)
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"duplicate {what}s")
-    return tuple(int(q) for q in qubits)
+    return qubits
 
 
 def apply_gate(state: StateVector, gate: Gate, targets: Sequence[int]) -> StateVector:
@@ -321,28 +327,42 @@ class BlochVector(NamedTuple):
         return math.sqrt(self.x**2 + self.y**2 + self.z**2)
 
 
+def _bloch(red: np.ndarray) -> BlochVector:
+    """Bloch vector (2 Re r01, -2 Im r01, r00 - r11) of a 2x2 matrix."""
+    r01 = complex(red[0, 1])
+    return BlochVector(2 * r01.real, -2 * r01.imag, float((red[0, 0] - red[1, 1]).real))
+
+
+def _trace_out(matrix: np.ndarray, keep: Sequence[int]) -> np.ndarray:
+    """Trace a 2^n x 2^n matrix over the qubits not in `keep` (sorted,
+    distinct) by index arithmetic on its 2n-axis tensor; the kept qubits
+    stay in ascending order."""
+    n = matrix.shape[0].bit_length() - 1
+    traced = [q for q in range(n) if q not in keep]
+    t = matrix.reshape([2] * (2 * n))
+    # pair up the row/col axes of each traced qubit
+    for i, q in enumerate(traced):
+        t = np.trace(t, axis1=q - i, axis2=q - i + n - i)
+    d = 2 ** (n - len(traced))
+    return t.reshape(d, d)
+
+
 def bloch_vector(state, qubit: int) -> BlochVector:
-    """Bloch vector of one qubit of a StateVector, density matrix object,
-    or raw density matrix array."""
+    """Bloch vector of one qubit of a StateVector, a DensityMatrix, or a
+    raw density-matrix array, which is validated as a DensityMatrix
+    (a bad one raises DensityMatrix's ValueError)."""
     if isinstance(state, StateVector):
         n = state.n_qubits
         (qubit,) = _check_qubits([qubit], n, "qubit")
-        view = np.moveaxis(state.amplitudes.reshape([2] * n), qubit, 0).reshape(2, -1)
-        a0, a1 = view[0], view[1]
-        r01 = complex(np.sum(a0 * a1.conj()))
-        z = float(np.sum(np.abs(a0) ** 2) - np.sum(np.abs(a1) ** 2))
+        a = np.moveaxis(state.amplitudes.reshape([2] * n), qubit, 0).reshape(2, -1)
+        red = a @ a.conj().T
     else:
-        m = np.asarray(getattr(state, "matrix", state), dtype=complex)
-        n = int(round(math.log2(m.shape[0])))
-        (qubit,) = _check_qubits([qubit], n, "qubit")
-        view = m.reshape([2] * (2 * n))
-        view = np.moveaxis(view, (qubit, n + qubit), (0, 1))
-        d = 2 ** (n - 1)
-        view = view.reshape(2, 2, d, d)
-        red = np.trace(view, axis1=2, axis2=3)
-        r01 = complex(red[0, 1])
-        z = float((red[0, 0] - red[1, 1]).real)
-    v = BlochVector(2 * r01.real, -2 * r01.imag, z)
+        from . import density
+
+        rho = state if isinstance(state, density.DensityMatrix) else density.DensityMatrix(state)
+        (qubit,) = _check_qubits([qubit], rho.n_qubits, "qubit")
+        red = _trace_out(rho.matrix, [qubit])
+    v = _bloch(red)
     if v.r > 1 + 1e-12:
         raise SimulationFault(f"Bloch radius {v.r} exceeds 1")
     return v

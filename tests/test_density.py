@@ -167,3 +167,40 @@ def test_bloch_ball_analysis_hits_determinant_identity():
 def test_index_lists_must_hold_integers(entry, indices):
     with pytest.raises(ValueError, match="integer"):
         entry(indices)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda keep: density.partial_trace(_bell_rho(), keep).matrix,
+    lambda keep: density.mutual_information(_bell_rho(), keep),
+    lambda keep: oscillators.subsystem_entropy(oscillators.tfd_coupling(0.5), keep),
+], ids=["partial_trace", "mutual_information", "subsystem_entropy"])
+def test_index_lists_are_checked_before_deduplication(entry):
+    # set() would fold True into an equal 1 before any type check saw it
+    with pytest.raises(ValueError, match="integer"):
+        entry([1, True])
+    # a repeated index is kept once, by design
+    assert np.array_equal(entry([1, 1]), entry([1]))
+
+
+def _bloch_formula(m):
+    return (2 * m[0, 1].real, -2 * m[0, 1].imag, (m[0, 0] - m[1, 1]).real)
+
+
+def test_bloch_routes_agree_on_random_pure_states():
+    rng = _rng(7)
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            psi = _random_pure(n, rng)
+            rho = density.from_statevector(psi)
+            for q in range(n):
+                want = qstate.bloch_vector(psi, q)
+                routes = {
+                    "DensityMatrix": qstate.bloch_vector(rho, q),
+                    "raw matrix": qstate.bloch_vector(rho.matrix, q),
+                    "bloch_ball_analysis": density.bloch_ball_analysis(
+                        density.partial_trace(rho, [q]))[0],
+                    "projector oracle": _bloch_formula(
+                        _trace_oracle(rho.matrix, n, [q])),
+                }
+                for name, got in routes.items():
+                    assert np.allclose(got, want, rtol=0, atol=1e-12), (n, q, name)

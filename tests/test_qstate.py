@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qilab import qstate
+from qilab import density, qstate
 
 
 def _rng(seed=0):
@@ -314,6 +314,20 @@ def test_bloch_vector_checks_its_qubit(as_matrix, qubit):
         state = np.outer(state.amplitudes, state.amplitudes.conj())
     with pytest.raises(ValueError, match="qubit"):
         qstate.bloch_vector(state, qubit)
+
+
+@pytest.mark.parametrize("matrix", [
+    np.eye(3) / 3,
+    np.array([[1.0, 1.0], [0.0, 0.0]]),
+    np.eye(2),
+], ids=["3x3", "non-Hermitian", "trace 2"])
+def test_bloch_vector_validates_raw_matrices(matrix):
+    # a raw array is checked as a density matrix, with DensityMatrix's message
+    with pytest.raises(ValueError) as want:
+        density.DensityMatrix(matrix)
+    with pytest.raises(ValueError) as got:
+        qstate.bloch_vector(matrix, 0)
+    assert str(got.value) == str(want.value)
 
 
 def test_circuit_condition_requires_prior_measurement():
