@@ -379,6 +379,9 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
+# Built once per process: in-process callers of main (tests, benchmarks,
+# library code) would otherwise rebuild all fourteen subparsers per call.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qilab",

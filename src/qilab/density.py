@@ -42,16 +42,29 @@ class DensityMatrix:
         n = int(round(math.log2(m.shape[0])))
         if 2**n != m.shape[0]:
             raise ValueError(f"dimension {m.shape[0]} is not a power of two")
-        if np.abs(m - m.conj().T).max() > _HERM_ATOL:
-            raise ValueError("matrix is not Hermitian within 1e-12")
-        if abs(np.trace(m).real - 1.0) > _HERM_ATOL:
-            raise ValueError(f"trace is {np.trace(m).real}, not 1")
+        _check_density(m)
         if check_psd and float(np.linalg.eigvalsh(m)[0]) < -_EIG_CLAMP:
             raise ValueError("matrix has an eigenvalue below -1e-10")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "matrix", m)
+
+
+def _check_density(m: np.ndarray) -> None:
+    """DensityMatrix's rules for each matrix of a stack m (shape
+    (..., d, d)): finite, Hermitian within 1e-12, unit trace.  A broken
+    rule raises DensityMatrix's ValueError, naming the first bad trace."""
+    # a NaN or inf entry leaves a NaN or inf residual, so this one test
+    # catches it too; isfinite only picks the message
+    if not np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0) <= _HERM_ATOL:
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix has a non-finite entry")
+        raise ValueError("matrix is not Hermitian within 1e-12")
+    tr = m.trace(0, -2, -1).real
+    off = np.abs(tr - 1.0)
+    if off.max(initial=0.0) > _HERM_ATOL:
+        raise ValueError(f"trace is {tr[off > _HERM_ATOL][0]}, not 1")
 
 
 def from_statevector(state: StateVector) -> DensityMatrix:
@@ -72,25 +85,35 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     return DensityMatrix(_trace_out(rho.matrix, keep), check_psd=False)
 
 
-def _clamped_eigenvalues(rho: DensityMatrix) -> np.ndarray:
-    lam = np.linalg.eigvalsh(rho.matrix)
-    if float(lam[0]) < -_EIG_CLAMP:
-        raise ValueError(f"eigenvalue {lam[0]} below the -1e-10 PSD window")
+def _clamped_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Ascending spectra of a stack of density matrices (shape (..., d, d)),
+    clipped to [0, 1]; an eigenvalue below -1e-10 is a ValueError."""
+    lam = np.linalg.eigvalsh(m)
+    low = lam[..., 0]
+    below = low < -_EIG_CLAMP
+    if below.any():
+        raise ValueError(f"eigenvalue {low[below][0]} below the -1e-10 PSD window")
     # unit trace bounds the top excess by the same roundoff window
     return np.clip(lam, 0.0, 1.0)
 
 
+def _purities(m: np.ndarray) -> np.ndarray:
+    """tr(m^2) of each matrix of a stack (shape (..., d, d))."""
+    return np.einsum("...ij,...ji->...", m, m).real
+
+
 def purity(rho: DensityMatrix) -> float:
     """tr(rho^2); 1 for pure states."""
-    m = rho.matrix
-    return float(np.einsum("ij,ji->", m, m).real)
+    return float(_purities(rho.matrix))
 
 
-def entropy_bits(eigenvalues: np.ndarray) -> float:
+def entropy_bits(eigenvalues: np.ndarray):
+    """-sum(p log2 p) over the last axis, entries <= 0 contributing 0: a
+    float for one spectrum, an array for a stack of them."""
     lam = np.asarray(eigenvalues, dtype=float)
-    lam = lam[lam > 0.0]
-    s = float(-(lam * np.log2(lam)).sum()) if lam.size else 0.0
-    return s + 0.0  # fold -0.0 from a pure spectrum
+    logs = np.log2(lam, out=np.zeros_like(lam), where=lam > 0.0)
+    s = -(lam * logs).sum(axis=-1) + 0.0  # fold -0.0 from a pure spectrum
+    return float(s) if s.ndim == 0 else s
 
 
 @dataclass(frozen=True)
@@ -102,7 +125,7 @@ class EntropyReport:
 
 def von_neumann_entropy(rho: DensityMatrix) -> EntropyReport:
     """S(rho) = -tr(rho log2 rho) via Hermitian eigendecomposition."""
-    lam = _clamped_eigenvalues(rho)
+    lam = _clamped_eigenvalues(rho.matrix)
     return EntropyReport(entropy_bits(lam), purity(rho), tuple(float(v) for v in lam))
 
 
@@ -123,15 +146,14 @@ def bloch_ball_analysis(rho: DensityMatrix):
     """Bloch vector, radius and entropy of a single-qubit state.
 
     The entropy comes from the closed form in r; det(rho) = (1-r^2)/4 is
-    checked against the matrix as a consistency guard.
+    checked against the matrix as a consistency guard.  A radius above
+    1 + 1e-9 is a ValueError, as in qstate.bloch_vector.
     """
     if rho.matrix.shape != (2, 2):
         raise ValueError("bloch_ball_analysis takes a single-qubit state")
     m = rho.matrix
     v = _bloch(m)
     r = v.r
-    if r > 1 + 1e-9:
-        raise ValueError(f"Bloch radius {r} outside the ball")
     det = float(np.linalg.det(m).real)
     if abs(det - (1 - r * r) / 4.0) > 1e-12:
         raise SimulationFault("det(rho) != (1-r^2)/4; inconsistent state")

@@ -170,25 +170,36 @@ class ReducedSample:
 def reduced_evolution(h: HamiltonianSpec, t_grid, rho_se0: DensityMatrix, keep) -> list:
     """Reduced system dynamics: rho_S(t) = tr_E(U rho_SE(0) U') on a grid.
 
-    keep lists the system qubit indices.  Each sample carries the
-    entropy in bits, the purity, and the largest off-diagonal magnitude
-    of rho_S(t).  One eigendecomposition serves the whole grid.
+    t_grid is a one-dimensional sequence of finite times and keep lists
+    the system qubit indices.  Each sample carries rho_S(t) as a
+    DensityMatrix, its entropy in bits, its purity, and its largest
+    off-diagonal magnitude.  One eigendecomposition serves the whole
+    grid, which is evolved as one (T, d, d) stack: the joint states are
+    held to DensityMatrix's rules, the environment is traced out, and one
+    eigvalsh gives every reduced spectrum.  A sample is the same, bit for
+    bit, whatever grid it comes in.
     """
+    ts = np.asarray(t_grid, dtype=float)
+    if ts.ndim != 1 or not np.isfinite(ts).all():
+        raise ValueError("t_grid must be a one-dimensional sequence of finite times")
+    if rho_se0.n_qubits != h.n_qubits:
+        raise ValueError("state and Hamiltonian qubit counts differ")
+    keep = sorted(set(qstate._check_indices(keep, h.n_qubits, "qubit")))
     evals, vecs = np.linalg.eigh(dense(h))
     rho0 = vecs.conj().T @ rho_se0.matrix @ vecs
-    samples = []
-    for t in np.asarray(t_grid, dtype=float):
-        phase = np.exp(-1j * evals * float(t))
-        rho_t = (vecs * phase) @ rho0 @ (vecs * phase).conj().T
-        rho_s = density.partial_trace(
-            DensityMatrix(rho_t, check_psd=False), keep)
-        report = density.von_neumann_entropy(rho_s)
-        off = rho_s.matrix - np.diag(np.diag(rho_s.matrix))
-        samples.append(ReducedSample(
-            float(t), rho_s, report.entropy_bits, report.purity,
-            float(np.max(np.abs(off))),
-        ))
-    return samples
+    u = vecs * np.exp(-1j * evals * ts[:, None])[:, None, :]
+    rho_t = u @ rho0 @ u.conj().swapaxes(-1, -2)
+    density._check_density(rho_t)
+    rho_s = qstate._trace_out(rho_t, keep)
+    entropy = density.entropy_bits(density._clamped_eigenvalues(rho_s))
+    purity = density._purities(rho_s)
+    off = np.abs(rho_s)
+    diag = np.arange(rho_s.shape[-1])
+    off[:, diag, diag] = 0.0
+    offdiag = off.max(axis=(-2, -1))
+    return [ReducedSample(float(t), DensityMatrix(m, check_psd=False),
+                          float(e), float(p), float(o))
+            for t, m, e, p, o in zip(ts, rho_s, entropy, purity, offdiag)]
 
 
 def rabi_hamiltonian(c1: float = 1.0, c2: float = 1.0) -> HamiltonianSpec:

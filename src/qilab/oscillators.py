@@ -49,6 +49,8 @@ class CouplingMatrix:
         K = np.asarray(self.K, dtype=float)
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise ValueError("K must be square")
+        if not np.isfinite(K).all():
+            raise ValueError("K must be finite")
         if np.max(np.abs(K - K.T)) > 1e-12:
             raise ValueError("K must be symmetric within 1e-12")
         if np.linalg.eigvalsh(K)[0] <= 0.0:

@@ -327,30 +327,41 @@ class BlochVector(NamedTuple):
         return math.sqrt(self.x**2 + self.y**2 + self.z**2)
 
 
+# DensityMatrix admits eigenvalues down to -1e-10, so single-qubit radii up
+# to 1 + 2e-10; beyond this bound a 2x2 matrix is not a state.
+_BLOCH_RADIUS_TOL = 1e-9
+
+
 def _bloch(red: np.ndarray) -> BlochVector:
-    """Bloch vector (2 Re r01, -2 Im r01, r00 - r11) of a 2x2 matrix."""
+    """Bloch vector (2 Re r01, -2 Im r01, r00 - r11) of a 2x2 matrix; a
+    radius above 1 + 1e-9 is a ValueError."""
     r01 = complex(red[0, 1])
-    return BlochVector(2 * r01.real, -2 * r01.imag, float((red[0, 0] - red[1, 1]).real))
+    v = BlochVector(2 * r01.real, -2 * r01.imag, float((red[0, 0] - red[1, 1]).real))
+    if v.r > 1 + _BLOCH_RADIUS_TOL:
+        raise ValueError(f"Bloch radius {v.r} outside the ball")
+    return v
 
 
 def _trace_out(matrix: np.ndarray, keep: Sequence[int]) -> np.ndarray:
-    """Trace a 2^n x 2^n matrix over the qubits not in `keep` (sorted,
-    distinct) by index arithmetic on its 2n-axis tensor; the kept qubits
-    stay in ascending order."""
-    n = matrix.shape[0].bit_length() - 1
+    """Trace each 2^n x 2^n matrix of a stack (shape (..., 2^n, 2^n)) over
+    the qubits not in `keep` (sorted, distinct) by index arithmetic on its
+    2n-axis tensor; the kept qubits stay in ascending order."""
+    *batch, dim, _ = matrix.shape
+    n, b = dim.bit_length() - 1, len(batch)
     traced = [q for q in range(n) if q not in keep]
-    t = matrix.reshape([2] * (2 * n))
-    # pair up the row/col axes of each traced qubit
+    t = matrix.reshape(batch + [2] * (2 * n))
+    # pair up the row/col axes of each traced qubit, one pair at a time
     for i, q in enumerate(traced):
-        t = np.trace(t, axis1=q - i, axis2=q - i + n - i)
+        t = np.trace(t, axis1=b + q - i, axis2=b + q - i + n - i)
     d = 2 ** (n - len(traced))
-    return t.reshape(d, d)
+    return t.reshape(*batch, d, d)
 
 
 def bloch_vector(state, qubit: int) -> BlochVector:
     """Bloch vector of one qubit of a StateVector, a DensityMatrix, or a
     raw density-matrix array, which is validated as a DensityMatrix
-    (a bad one raises DensityMatrix's ValueError)."""
+    (a bad one raises DensityMatrix's ValueError).  A radius above
+    1 + 1e-9 is a ValueError, as in density.bloch_ball_analysis."""
     if isinstance(state, StateVector):
         n = state.n_qubits
         (qubit,) = _check_qubits([qubit], n, "qubit")
@@ -362,10 +373,7 @@ def bloch_vector(state, qubit: int) -> BlochVector:
         rho = state if isinstance(state, density.DensityMatrix) else density.DensityMatrix(state)
         (qubit,) = _check_qubits([qubit], rho.n_qubits, "qubit")
         red = _trace_out(rho.matrix, [qubit])
-    v = _bloch(red)
-    if v.r > 1 + 1e-12:
-        raise SimulationFault(f"Bloch radius {v.r} exceeds 1")
-    return v
+    return _bloch(red)
 
 
 # ---------------------------------------------------------------------------

@@ -306,3 +306,26 @@ def test_entry_point_subprocess(tmp_path):
         capture_output=True, text=True, timeout=60)
     assert bad.returncode == 1
     assert json.loads(bad.stderr)["error"] == "ValueError"
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # main builds its parser once per process; an earlier call's options
+    # and a parse error must leave nothing behind for the next call
+    assert cli.main(["rabi", "--t-max", "1", "--format", "json",
+                     "--out", str(tmp_path / "short")]) == 0
+    assert cli.main(["rabi", "--bogus", "--out", str(tmp_path / "bad")]) == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"] == "ArgumentError"
+    assert "unrecognized arguments: --bogus" in err["message"]
+    assert cli.main(["rabi", "--out", str(tmp_path / "warm")]) == 0
+    warm_out = capsys.readouterr().out
+    fresh = subprocess.run(
+        [sys.executable, "-m", "qilab.cli", "rabi", "--out", str(tmp_path / "fresh")],
+        capture_output=True, text=True, timeout=60)
+    assert fresh.returncode == 0
+    assert sorted(p.name for p in (tmp_path / "warm").iterdir()) == ["rabi.csv"]
+    assert ((tmp_path / "warm" / "rabi.csv").read_bytes()
+            == (tmp_path / "fresh" / "rabi.csv").read_bytes())
+    assert warm_out.replace("warm", "fresh") == fresh.stdout
+

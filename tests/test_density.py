@@ -62,6 +62,15 @@ def test_density_validation():
         density.DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
 
 
+@pytest.mark.parametrize("check_psd", [True, False], ids=["psd", "no-psd"])
+@pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+def test_density_matrix_rejects_non_finite_entries(entry, check_psd):
+    # NaN slips past every "> tolerance" comparison
+    for m in (np.full((2, 2), entry), np.array([[0.5, entry], [entry, 0.5]])):
+        with pytest.raises(ValueError, match="non-finite entry"):
+            density.DensityMatrix(m, check_psd=check_psd)
+
+
 def test_partial_trace_matches_projector_oracle():
     rng = _rng(2)
     for n in (2, 3, 4):
@@ -204,3 +213,20 @@ def test_bloch_routes_agree_on_random_pure_states():
                 }
                 for name, got in routes.items():
                     assert np.allclose(got, want, rtol=0, atol=1e-12), (n, q, name)
+
+
+def test_bloch_routes_share_one_radius_bound():
+    # DensityMatrix admits this matrix (eigenvalue -1e-11 > -1e-10), so
+    # both Bloch routes give the same vector with r slightly above 1
+    m = np.diag([1 + 1e-11, -1e-11])
+    rho = density.DensityMatrix(m)
+    vec, r, _ = density.bloch_ball_analysis(rho)
+    assert r > 1.0
+    assert qstate.bloch_vector(m, 0) == vec
+    assert qstate.bloch_vector(rho, 0) == vec
+    # past the 1e-9 bound neither route returns a vector
+    far = density.DensityMatrix(np.diag([1 + 1e-8, -1e-8]), check_psd=False)
+    for route in (lambda: qstate.bloch_vector(far, 0),
+                  lambda: density.bloch_ball_analysis(far)):
+        with pytest.raises(ValueError, match="outside the ball"):
+            route()

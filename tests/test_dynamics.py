@@ -178,6 +178,84 @@ def test_decoherence_trends():
         assert 0.5 - 1e-9 <= s.purity <= 1.0 + 1e-9
 
 
+def _random_model(n, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    psi = qstate.StateVector(n, amps / np.linalg.norm(amps))
+    return dynamics.from_dense((a + a.conj().T) / 2), density.from_statevector(psi)
+
+
+_GRID_CASES = [(2, [0]), (2, [1]), (3, [0]), (3, [1]), (3, [0, 2])]
+
+
+@pytest.mark.parametrize("n, keep", _GRID_CASES,
+                         ids=[f"n{n}-keep{''.join(map(str, k))}" for n, k in _GRID_CASES])
+def test_batched_grid_equals_single_times_and_the_evolve_route(n, keep):
+    h, rho0 = _random_model(n, seed=40 + n + sum(keep))
+    grid = np.linspace(0.0, 7.0, 23)
+    samples = dynamics.reduced_evolution(h, grid, rho0, keep)
+    assert [s.t for s in samples] == list(grid)
+    for s in samples:
+        # a sample does not depend on the grid it came in, bit for bit
+        (one,) = dynamics.reduced_evolution(h, [s.t], rho0, keep)
+        assert np.array_equal(s.rho.matrix, one.rho.matrix)
+        assert (s.t, s.entropy_bits, s.purity, s.offdiag_abs) == (
+            one.t, one.entropy_bits, one.purity, one.offdiag_abs)
+        # independent route: evolve the joint state, then partial_trace
+        want = density.partial_trace(dynamics.evolve(h, s.t, rho0), keep)
+        report = density.von_neumann_entropy(want)
+        off = want.matrix - np.diag(np.diag(want.matrix))
+        assert np.allclose(s.rho.matrix, want.matrix, rtol=0, atol=1e-12)
+        assert s.entropy_bits == pytest.approx(report.entropy_bits, abs=1e-12)
+        assert s.purity == pytest.approx(report.purity, abs=1e-12)
+        assert s.offdiag_abs == pytest.approx(np.max(np.abs(off)), abs=1e-12)
+
+
+def test_empty_grid_gives_no_samples():
+    h, rho0 = _random_model(2, seed=1)
+    assert dynamics.reduced_evolution(h, [], rho0, [0]) == []
+
+
+@pytest.mark.parametrize("grid", [[0.0, math.nan], [math.inf], [[0.0, 1.0]], 1.0],
+                         ids=["nan", "inf", "2-D", "scalar"])
+def test_reduced_evolution_rejects_bad_grids(grid):
+    h = dynamics.rabi_hamiltonian()
+    rho0 = density.from_statevector(qstate.StateVector.computational([0, 1]))
+    with pytest.raises(ValueError, match="one-dimensional sequence of finite times"):
+        dynamics.reduced_evolution(h, grid, rho0, [0])
+
+
+def test_reduced_evolution_checks_its_state_and_qubits():
+    h = dynamics.rabi_hamiltonian()
+    with pytest.raises(ValueError, match="qubit counts differ"):
+        dynamics.reduced_evolution(
+            h, [1.0], density.from_statevector(qstate.StateVector.zeros(3)), [0])
+    rho0 = density.from_statevector(qstate.StateVector.computational([0, 1]))
+    with pytest.raises(ValueError, match="not in range"):
+        dynamics.reduced_evolution(h, [1.0], rho0, [2])
+
+
+def test_stack_check_raises_density_matrix_messages():
+    # the joint-state stack of reduced_evolution is held to DensityMatrix's
+    # rules by one helper; a bad matrix in a stack raises DensityMatrix's
+    # message for it, and a trace message names the first bad trace
+    good = np.diag([0.25, 0.75]).astype(complex)
+    bad = {
+        "non-Hermitian": np.array([[0.5, 0.5], [0.4, 0.5]], dtype=complex),
+        "trace": np.diag([0.7, 0.7]).astype(complex),
+        "non-finite": np.full((2, 2), np.nan, dtype=complex),
+    }
+    for name, m in bad.items():
+        with pytest.raises(ValueError) as single:
+            density.DensityMatrix(m)
+        stack = np.stack([good, m, good, np.diag([0.1, 0.1]).astype(complex)])
+        with pytest.raises(ValueError) as batch:
+            density._check_density(stack)
+        assert str(batch.value) == str(single.value), name
+    density._check_density(np.stack([good, good]))
+
+
 def test_from_dense_round_trip():
     h = dynamics.decoherence_hamiltonian()
     m = dynamics.dense(h)

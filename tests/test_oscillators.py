@@ -84,6 +84,15 @@ def test_coupling_matrix_validation():
         osc.CouplingMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+def test_coupling_matrix_rejects_non_finite_entries(entry):
+    # NaN slips past every "> tolerance" comparison
+    with pytest.raises(ValueError, match="K must be finite"):
+        osc.CouplingMatrix(np.full((2, 2), entry))
+    with pytest.raises(ValueError, match="K must be finite"):
+        osc.CouplingMatrix(np.array([[2.0, entry], [entry, 2.0]]))
+
+
 def test_correlators_uncertainty_product():
     K = osc.tfd_coupling(0.8)
     X, P = osc.correlators(K)
