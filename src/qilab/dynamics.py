@@ -132,6 +132,8 @@ def from_dense(matrix) -> HamiltonianSpec:
 
 def propagator(h: HamiltonianSpec, t: float) -> np.ndarray:
     """U(t) = exp(-i H t) through the Hermitian eigendecomposition."""
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
     if t == 0.0:
         return np.eye(2**h.n_qubits, dtype=complex)
     evals, vecs = np.linalg.eigh(dense(h))

@@ -163,6 +163,10 @@ _L_STACK = 8
 _FIT_FRACTION = 0.975
 _TAIL = 1e-3
 
+# relative accuracy certified for each S_l of area_law_scan when only a
+# trailing corner of its D matrix is diagonalised
+_CORNER_TOL = 1e-15
+
 
 def _correlator_stack(K: np.ndarray) -> tuple:
     # X = K^{-1/2}/2 and P = K^{1/2}/2 for each matrix of a (..., n, n) stack
@@ -179,22 +183,33 @@ def correlators(K: CouplingMatrix) -> CorrelatorPair:
     return CorrelatorPair(*_correlator_stack(K.K))
 
 
-def _spectrum_entropy(delta: np.ndarray) -> np.ndarray:
-    # The c-form (c+1/2)ln(c+1/2) - (c-1/2)ln(c-1/2) summed along the
-    # last axis, given delta = c^2 - 1/4 for the symplectic values c.
-    # c - 1/2 and ln(c + 1/2) come from delta, not c, so a tiny c - 1/2
-    # keeps its digits.  c within 1e-9 of 1/2 contributes 0; smaller c
-    # signals a matrix-function error.
+def _c_form(delta: np.ndarray) -> np.ndarray:
+    # The c-form (c+1/2)ln(c+1/2) - (c-1/2)ln(c-1/2) of each symplectic
+    # value c, given delta = c^2 - 1/4.  c - 1/2 and ln(c + 1/2) come
+    # from delta, not c, so a tiny c - 1/2 keeps its digits.  c within
+    # 1e-9 of 1/2 contributes 0; smaller c signals a matrix-function
+    # error.  As a function of delta it is increasing and concave, and 0
+    # at delta = 0.
     mu = delta + 0.25
     if mu.min() < -1e-9:
         raise ValueError(f"negative symplectic spectrum {mu.min()} beyond tolerance")
-    c = np.sqrt(np.maximum(mu, 0.0))
+    c = np.sqrt(np.maximum(mu, 0.0, out=mu), out=mu)
     lo = delta / (c + 0.5)
     if lo.min() < -1e-9:
         raise ValueError(f"symplectic eigenvalue {c.min()} below 1/2 beyond tolerance")
-    live = lo > 0.0
-    lo = np.where(live, lo, 1.0)  # log(1) keeps the masked terms finite
-    return np.where(live, (1.0 + lo) * np.log1p(lo) - lo * np.log(lo), 0.0).sum(axis=-1)
+    del c, mu  # in-place steps below: the scan calls this on large stacks
+    dead = ~(lo > 0.0)
+    lo[dead] = 1.0  # log(1) keeps the masked terms finite
+    out = np.log1p(lo)
+    out *= 1.0 + lo
+    out -= lo * np.log(lo)
+    out[dead] = 0.0
+    return out
+
+
+def _spectrum_entropy(delta: np.ndarray) -> np.ndarray:
+    # the c-form entropy of a spectrum of delta = c^2 - 1/4 (last axis)
+    return _c_form(delta).sum(axis=-1)
 
 
 def _cholesky(X: np.ndarray) -> np.ndarray:
@@ -204,16 +219,22 @@ def _cholesky(X: np.ndarray) -> np.ndarray:
         raise ValueError("X sub-block lost positive-definiteness") from None
 
 
+def _delta_matrix(chol: np.ndarray, P: np.ndarray, m: int, s: int = 0) -> np.ndarray:
+    # D, whose eigenvalues are c^2 - 1/4 for the leading m sites A of each
+    # (..., n, n) stack, from the Cholesky factor chol = [[L_A, 0], [C, L_B]]
+    # of X and from P, both in the same site order.  X P = 1/4 makes
+    # L_A^T P_A L_A - 1/4 (X_A P_A is similar to L_A^T P_A L_A) equal to
+    # D = C^T P_B C = -C^T P_BA L_A: built from the off-diagonal blocks,
+    # it does not cancel against 1/4.  Given s, only the trailing corner
+    # D[s:, s:] is formed; L_A is lower triangular, so it needs only the
+    # columns s.. of C, P_BA and L_A.
+    c_t = np.swapaxes(chol[..., m:, s:m], -1, -2)
+    return -(c_t @ P[..., m:, s:m]) @ chol[..., s:m, s:m]
+
+
 def _leading_entropy(chol: np.ndarray, P: np.ndarray, m: int) -> np.ndarray:
-    # Entropy of the leading m sites A of each (..., n, n) stack, from the
-    # Cholesky factor chol = [[L_A, 0], [C, L_B]] of X and from P, both in
-    # the same site order.  X P = 1/4 makes L_A^T P_A L_A - 1/4 (its
-    # eigenvalues are c^2 - 1/4; X_A P_A is similar to L_A^T P_A L_A)
-    # equal to C^T P_B C = -C^T P_BA L_A: built from the off-diagonal
-    # blocks, it does not cancel against 1/4.
-    c_t = np.swapaxes(chol[..., m:, :m], -1, -2)
-    delta = np.linalg.eigvalsh(-(c_t @ P[..., m:, :m]) @ chol[..., :m, :m])
-    return _spectrum_entropy(delta)
+    # entropy of the leading m sites of each stack
+    return _spectrum_entropy(np.linalg.eigvalsh(_delta_matrix(chol, P, m)))
 
 
 def subsystem_entropy(K: CouplingMatrix, keep) -> float:
@@ -268,6 +289,8 @@ class EntropyCurve:
     over r < fit_fraction * R.  Per radius, l_stop is the last l summed
     (None at the two exact-zero endpoints) and capped is True where the
     l-sum ran into the cap l_max before its tail test stopped it.
+    corner_bound is the largest certified relative error of the summed
+    S_l terms that the corner truncation of area_law_scan allows.
     """
 
     n: int
@@ -277,6 +300,7 @@ class EntropyCurve:
     fit_lambda: float
     l_stop: tuple
     capped: tuple
+    corner_bound: float
 
 
 def fit_area_coefficient(samples, r_max: float) -> float:
@@ -292,22 +316,83 @@ def fit_area_coefficient(samples, r_max: float) -> float:
     return float(np.sum(r**2 * s) / denom)
 
 
-def _shell_entropies(ls, N: int, j_maxes) -> np.ndarray:
-    # S_l of the shell j > j_max, one row per j_max and one column per l.
+def _diagonal_bounds(chol: np.ndarray, P: np.ndarray, ms: np.ndarray, h: int) -> tuple:
+    # For the cuts of sizes ms in one site order (chol and P as in
+    # _delta_matrix, stacked along the first axis): upper bounds on the
+    # diagonal of each D, shaped (cuts, stack, h) with the site next to
+    # the cut last and zeros in front, and the exact last diagonal entry,
+    # shaped (cuts, stack).  With c the column i of C, D_ii = c^T P_B c is
+    # at most sum_b w_b c_b^2, w_b = sum_b' |P_bb'| (as |c_b c_b'| <=
+    # (c_b^2 + c_b'^2)/2), a suffix sum over the rows b >= m of each column
+    # that serves every cut at once.  Column m - 1 of L_A holds only
+    # L_{m-1,m-1}, so D_{m-1,m-1} = -L_{m-1,m-1} sum_{b>=m} C_b P_{b,m-1}.
+    def suffix_sums(a):
+        return np.cumsum(a[:, ::-1], axis=1)[:, ::-1]
+
+    cols = chol[..., :h]
+    weighted = suffix_sums(cols**2 * np.abs(P).sum(axis=-1)[..., None])
+    cross = suffix_sums(cols * P[..., :h])
+    site = ms[:, None] - h + np.arange(h)  # negative in the zero padding
+    diag = np.where(site >= 0, weighted[:, ms[:, None], site], 0.0)
+    last = -chol[:, ms - 1, ms - 1] * cross[:, ms, ms - 1]
+    return np.moveaxis(diag, 0, 1), last.T
+
+
+def _corner_sizes(diag: np.ndarray, last: np.ndarray) -> tuple:
+    # From _diagonal_bounds: the smallest k per cut whose trailing k x k
+    # corner D_k of each D of the stack certifies S(D) - S(D_k) <=
+    # _CORNER_TOL * S(D_k), and the certified bound on S(D) - S(D_k) per D.
+    # Cauchy interlacing gives S(D) >= S(D_k); pinching D to D_k (+) the
+    # rest, and then the rest to its diagonal, gives S(D) - S(D_k) <= the
+    # sum of g(D_ii) over the sites left out, g = _c_form increasing and
+    # concave (sum g is Schur-concave); and Rayleigh gives S(D_k) >=
+    # g(D_{m-1,m-1}).  left[s], the bound for the corner that starts at
+    # site s, grows with s, so the certified starts form a prefix of 0..h-1.
+    g = _c_form(diag)
+    left = np.zeros_like(g)
+    np.cumsum(g[..., :-1], axis=-1, out=left[..., 1:])
+    floor = _CORNER_TOL * _c_form(np.maximum(last, 0.0))
+    start = np.count_nonzero((left <= floor[..., None]).all(axis=1), axis=-1) - 1
+    return g.shape[-1] - start, np.take_along_axis(left, start[:, None, None], -1)[..., 0]
+
+
+def _shell_terms(ls, N: int, j_maxes) -> tuple:
+    # S_l of the shell j > j_max, one row per j_max and one column per l,
+    # and the certified relative bound of each from its corner truncation.
     # One batched eigh gives the correlators of every l and two batched
     # Cholesky factors serve every cut: X itself, whose leading blocks are
     # the inner sites 0..j_max-1, and X in reversed site order, whose
     # leading blocks are the outer sites j_max..N-1.  The ground state is
-    # pure, so each cut takes the smaller side: one batched eigvalsh of
-    # size min(j_max, N - j_max).
+    # pure, so each cut takes the smaller side, m = min(j_max, N - j_max)
+    # sites, whose last sites border the cut in both orders.  Only the
+    # certified trailing corner of each D is formed and diagonalised, with
+    # one batched eigvalsh per corner size across the radii.
     X, P = _correlator_stack(_radial_stack(ls, N))
-    inner = _cholesky(X), P
-    outer = _cholesky(X[:, ::-1, ::-1]), P[:, ::-1, ::-1]
-    out = np.empty((len(j_maxes), len(ls)))
-    for row, j in enumerate(j_maxes):
-        (chol, p), m = (outer, N - j) if 2 * j >= N else (inner, j)
-        out[row] = _leading_entropy(chol, p, m)
-    return out
+    sides = (_cholesky(X), P), (_cholesky(X[:, ::-1, ::-1]), P[:, ::-1, ::-1])
+    del X  # its stack is not needed past the factors; free it early
+    j_maxes = np.asarray(j_maxes)
+    ms = np.minimum(j_maxes, N - j_maxes)
+    outer = 2 * j_maxes >= N
+    h = int(ms.max())
+    diag = np.empty((len(ms), len(ls), h))
+    last = np.empty((len(ms), len(ls)))
+    for side, (chol, p) in zip((~outer, outer), sides):
+        diag[side], last[side] = _diagonal_bounds(chol, p, ms[side], h)
+    ks, left_out = _corner_sizes(diag, last)
+    cuts = [(*sides[o], m) for o, m in zip(outer.tolist(), ms.tolist())]
+    out = np.empty((len(ms), len(ls)))
+    for k in set(ks.tolist()):
+        rows = np.flatnonzero(ks == k)
+        D = np.stack([_delta_matrix(chol, p, m, m - k)
+                      for chol, p, m in (cuts[row] for row in rows)])
+        out[rows] = _spectrum_entropy(np.linalg.eigvalsh(D))
+    bound = np.divide(left_out, out, out=np.zeros_like(out), where=left_out > 0.0)
+    return out, bound
+
+
+def _shell_entropies(ls, N: int, j_maxes) -> np.ndarray:
+    # _shell_terms without the bounds
+    return _shell_terms(ls, N, j_maxes)[0]
 
 
 def _tail_below(term: float, prev: float, bound: float) -> bool:
@@ -328,7 +413,11 @@ def area_law_scan(N: int, l_max: int) -> EntropyCurve:
     subsystem_entropy (Cholesky factor of X, c^2 - 1/4 from its
     off-diagonal block) for the smaller side of the cut, since the
     state is pure and both sides agree, with the l-channels taken in
-    stacks of 8 per LAPACK call.  The l-sum for each radius stops once
+    stacks of 8 per LAPACK call.  Only the trailing corner of each cut's
+    matrix is diagonalised, the sites next to the cut, sized so that a
+    rigorous bound keeps each S_l within 1e-15 relative of the full
+    result; corner_bound reports the largest such bound over the terms
+    summed.  The l-sum for each radius stops once
     the geometric tail estimate term * rho/(1 - rho) (rho the
     consecutive term ratio) falls below 1e-3 of the running sum, or at
     the hard cap l_max (reported per radius in l_stop and capped);
@@ -344,6 +433,7 @@ def area_law_scan(N: int, l_max: int) -> EntropyCurve:
     S = np.zeros(N + 1)
     prev = np.zeros(N + 1)
     l_stop = np.full(N + 1, -1)
+    corner_bound = 0.0
     active = np.ones(N + 1, dtype=bool)
     active[0] = active[N] = False  # exact zeros at both endpoints
     for l0 in range(0, l_max + 1, _L_STACK):
@@ -351,7 +441,8 @@ def area_law_scan(N: int, l_max: int) -> EntropyCurve:
         if radii.size == 0:
             break
         ls = np.arange(l0, min(l0 + _L_STACK, l_max + 1))
-        terms = (2 * ls + 1) * _shell_entropies(ls, N, radii)
+        entropies, bounds = _shell_terms(ls, N, radii)
+        terms = (2 * ls + 1) * entropies
         for idx, row in zip(radii, terms):
             for l, term in zip(ls, row):
                 S[idx] += term
@@ -360,9 +451,11 @@ def area_law_scan(N: int, l_max: int) -> EntropyCurve:
                     active[idx] = False
                     break
                 prev[idx] = term
+        summed = ls <= l_stop[radii, None]
+        corner_bound = max(corner_bound, float(bounds[summed].max()))
     r = np.arange(N + 1) + 0.5
     samples = tuple((float(rv), float(sv)) for rv, sv in zip(r, S))
     lam = fit_area_coefficient(samples, _FIT_FRACTION * (N + 0.5))
     return EntropyCurve(N, l_max, samples, _FIT_FRACTION, lam,
                         tuple(int(l) if l >= 0 else None for l in l_stop),
-                        tuple(bool(a) for a in active))
+                        tuple(bool(a) for a in active), float(corner_bound))

@@ -163,7 +163,9 @@ class StateVector:
         if a.size != 2**self.n_qubits:
             raise ValueError(f"expected {2**self.n_qubits} amplitudes, got {a.size}")
         n = float(np.linalg.norm(a))
-        if abs(n - 1.0) > 1e-9:
+        if not abs(n - 1.0) <= 1e-9:  # NaN fails the test too
+            if not np.isfinite(a).all():
+                raise ValueError("state has a non-finite amplitude")
             raise ValueError(f"state not normalized: |psi| = {n}")
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)

@@ -166,6 +166,13 @@ def test_arealaw_sidecar_reports_truncation(tmp_path):
     assert header == ["r", "S"] and all(len(row) == 2 for row in rows)
 
 
+def test_arealaw_sidecar_keys_are_unchanged(tmp_path):
+    # EntropyCurve.corner_bound stays out of the default files
+    _run(tmp_path, "arealaw", "--n", "12", "--lmax", "20")
+    sidecar = json.loads((tmp_path / "arealaw.json").read_text())
+    assert set(sidecar) == {"N", "l_max", "lambda", "fit_range", "l_stop", "capped"}
+
+
 def test_arealaw_json_format_single_file(tmp_path):
     _run(tmp_path, "arealaw", "--n", "12", "--lmax", "150", "--format", "json")
     payload = json.loads((tmp_path / "arealaw.json").read_text())

@@ -355,3 +355,18 @@ def test_swap_demo_midpoint():
 def test_swap_demo_range_check():
     with pytest.raises(ValueError):
         dynamics.swap_measurement_demo(2.5, 10, 0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_times_are_rejected(t):
+    h = dynamics.measurement_hamiltonian()
+    calls = {
+        "propagator": lambda: dynamics.propagator(h, t),
+        "evolve state": lambda: dynamics.evolve(h, t, qstate.StateVector.zeros(2)),
+        "evolve density": lambda: dynamics.evolve(
+            h, t, density.from_statevector(qstate.StateVector.zeros(2))),
+        "kraus_extract": lambda: dynamics.kraus_extract(h, t),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="time must be finite"):
+            call()

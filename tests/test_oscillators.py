@@ -232,3 +232,84 @@ def test_spectrum_entropy_keeps_tiny_symplectic_gaps():
         want = eps * (1.0 - math.log(eps)) + eps**2 / 2.0
         got = float(osc._spectrum_entropy(np.array([delta, 0.0])))
         assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_corner_engine_matches_subsystem_entropy_at_n60():
+    # the engine diagonalises only a certified corner of each cut's D;
+    # subsystem_entropy diagonalises all of it, on the outer side
+    N, js, ls = 60, [5, 17, 30, 43, 55], np.array([0, 7, 50, 150, 300])
+    got = osc._shell_entropies(ls, N, js)
+    for row, j in enumerate(js):
+        for col, l in enumerate(ls):
+            want = osc.subsystem_entropy(osc.radial_K(int(l), N), range(j, N))
+            assert got[row, col] == pytest.approx(want, rel=1e-13, abs=0.0), (l, j)
+
+
+def _entropy(D):
+    return float(osc._spectrum_entropy(np.linalg.eigvalsh(D)))
+
+
+@pytest.mark.parametrize("family", ["decaying spectrum", "graded"])
+def test_corner_truncation_bound_holds(family):
+    # for every corner size k: 0 <= S(D) - S(D_k) <= sum over the sites
+    # left out of g(D_ii), and S(D_k) >= g(D_{m-1,m-1}), up to the
+    # rounding of the entropies themselves (a few ulps of S(D))
+    rng = np.random.Generator(np.random.PCG64(9))
+    m = 12
+    for _ in range(20):
+        if family == "decaying spectrum":
+            q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+            D = (q * 10.0 ** -np.linspace(0.0, 12.0, m)) @ q.T
+        else:  # rows fall off geometrically away from the trailing corner
+            G = rng.normal(size=(m, m)) * 0.3 ** np.arange(m - 1, -1, -1)[:, None]
+            D = 0.1 * G @ G.T
+        D = 0.5 * (D + D.T)
+        full = _entropy(D)
+        g = osc._c_form(np.maximum(np.diag(D), 0.0))
+        slack = 1e-13 * full
+        for k in range(1, m + 1):
+            corner = _entropy(D[m - k:, m - k:])
+            assert -slack <= full - corner <= g[: m - k].sum() + slack, k
+            assert corner >= g[-1] - slack
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["inner", "outer"])
+def test_diagonal_bounds_dominate_the_diagonal_of_d(reverse):
+    N, h, ls = 60, 30, np.array([0, 50, 300])
+    X, P = osc._correlator_stack(osc._radial_stack(ls, N))
+    if reverse:
+        X, P = X[:, ::-1, ::-1], P[:, ::-1, ::-1]
+    chol = osc._cholesky(X)
+    ms = np.arange(1, h + 1)
+    diag, last = osc._diagonal_bounds(chol, P, ms, h)
+    for row, m in enumerate(ms):
+        exact = np.diagonal(osc._delta_matrix(chol, P, int(m)), axis1=-2, axis2=-1)
+        assert np.all(diag[row, :, : h - m] == 0.0)
+        # entries far below the largest are rounding noise of the matmul
+        floor = 1e-16 * exact.max(axis=-1, keepdims=True)
+        assert np.all(exact <= diag[row, :, h - m:] * (1 + 1e-12) + floor), m
+        assert last[row] == pytest.approx(exact[:, -1], rel=1e-12, abs=0.0), m
+
+
+def test_corner_engine_diagonalises_small_corners(monkeypatch):
+    # at l near 300 the channels are gapped: the corners it forms are far
+    # smaller than the smaller side m of most cuts
+    sizes = []
+    delta_matrix = osc._delta_matrix
+
+    def spy(chol, P, m, s=0):
+        sizes.append((m, m - s))
+        return delta_matrix(chol, P, m, s)
+
+    monkeypatch.setattr(osc, "_delta_matrix", spy)
+    osc._shell_entropies(np.arange(293, 301), 60, range(1, 60))
+    assert len(sizes) == 59
+    assert all(1 <= k <= m for m, k in sizes)
+    assert sum(k < m for m, k in sizes) >= 40
+    assert max(k for _, k in sizes) <= 10
+
+
+def test_area_law_scan_reports_its_corner_bound():
+    curve = osc.area_law_scan(60, 300)
+    assert 0.0 < curve.corner_bound <= osc._CORNER_TOL
+    assert osc._CORNER_TOL <= 1e-14

@@ -468,3 +468,12 @@ def test_add_gate_rejects_condition_that_cannot_match(width, value):
     with pytest.raises(ValueError, match="condition"):
         c.add_gate("X", [1], condition=("m", value))
     c.add_gate("X", [1], condition=("m", 2**width - 1))  # the largest value is fine
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)],
+                         ids=["nan", "inf", "complex-nan"])
+def test_statevector_rejects_non_finite_amplitudes(bad):
+    # a NaN norm fails every comparison, so the normalisation test alone
+    # would let it through
+    with pytest.raises(ValueError, match="non-finite amplitude"):
+        qstate.StateVector(1, np.array([bad, 0.0], dtype=complex))
