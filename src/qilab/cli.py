@@ -24,10 +24,6 @@ from . import bell, density, dynamics, info, lattice, oscillators, qstate
 __all__ = ["main"]
 
 
-def _fnum(v) -> str:
-    return repr(float(v))
-
-
 def _write(args: argparse.Namespace, name: str, text: str) -> str:
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, name)
@@ -44,16 +40,18 @@ def _emit_table(args: argparse.Namespace, columns, rows,
                 extra: dict | None = None) -> dict:
     """Write the table for this subcommand as <name>.csv or <name>.json.
 
+    rows is a 2-D array or a sequence of equal-length rows; every value
+    is written as a float in its shortest round-trip form, repr(float(v)).
     extra merges into a JSON table, or goes beside a CSV table as the
     sidecar <name>.json.
     """
     name = args.subcommand
+    rows = np.asarray(rows, dtype=float).tolist()  # one conversion per table
     if args.format == "json":
-        payload = {**(extra or {}), "columns": list(columns),
-                   "rows": [[float(v) for v in row] for row in rows]}
+        payload = {**(extra or {}), "columns": list(columns), "rows": rows}
         return {"file": _write(args, f"{name}.json", _json_text(payload)),
                 "rows": len(rows)}
-    lines = [",".join(columns)] + [",".join(_fnum(v) for v in row) for row in rows]
+    lines = [",".join(columns)] + [",".join(map(repr, row)) for row in rows]
     out = {"file": _write(args, f"{name}.csv", "\n".join(lines) + "\n"),
            "rows": len(rows)}
     if extra is not None:
@@ -169,21 +167,19 @@ def _teleport_transcript(args: argparse.Namespace, deferred: bool) -> str:
 
 
 def _coinflip(args: argparse.Namespace) -> str:
-    p, s = info.biased_coin_curve(101)
-    out = _emit_table(args, ["p", "entropy"], list(zip(p, s)))
+    out = _emit_table(args, ["p", "entropy"],
+                      np.column_stack(info.biased_coin_curve(101)))
     return _json_text(out)
 
 
-def _reduced_rows(h, t_grid, rho0, keep):
-    rows = []
-    for s in dynamics.reduced_evolution(h, t_grid, rho0, keep):
-        m = s.rho.matrix
-        row = [s.t, s.entropy_bits, s.purity, s.offdiag_abs]
-        for i in range(2):
-            for j in range(2):
-                row += [m[i, j].real, m[i, j].imag]
-        rows.append(row)
-    return rows
+def _reduced_rows(h, t_grid, rho0, keep) -> np.ndarray:
+    # one row per time: t, entropy, purity, offdiag, then the 2x2 rho_S
+    # as (re, im) pairs in row-major order, which is the complex stack
+    # read as floats
+    samples = dynamics.reduced_evolution(h, t_grid, rho0, keep)
+    scalars = [(s.t, s.entropy_bits, s.purity, s.offdiag_abs) for s in samples]
+    rho = np.array([s.rho.matrix.ravel() for s in samples])
+    return np.hstack([scalars, rho.view(float)])
 
 
 def _time_grid(t_max: float) -> np.ndarray:
@@ -272,8 +268,7 @@ def _arealaw(args: argparse.Namespace) -> str:
         "l_stop": list(curve.l_stop),
         "capped": list(curve.capped),
     }
-    out = _emit_table(args, ["r", "S"], [list(s) for s in curve.samples],
-                      extra=sidecar)
+    out = _emit_table(args, ["r", "S"], curve.samples, extra=sidecar)
     out["lambda"] = curve.fit_lambda
     return _json_text(out)
 
@@ -302,7 +297,7 @@ def _hermite(args: argparse.Namespace) -> str:
         "fidelity": [{"level": r.level, "max_error": r.max_error,
                       "infidelity": r.infidelity} for r in reports],
     }
-    out = _emit_table(args, columns, table.tolist(), extra=payload)
+    out = _emit_table(args, columns, table, extra=payload)
     return _json_text(out)
 
 
@@ -310,7 +305,7 @@ def _schwinger(args: argparse.Namespace) -> str:
     params = lattice.SchwingerParams(x=args.x, mu=args.mu)
     series = lattice.schwinger_evolve(params, _time_grid(args.t_max))
     ground = lattice.schwinger_ground_state(params)
-    rows = [[t] + list(p) for t, p in zip(series.t, series.probabilities)]
+    rows = np.column_stack([series.t, series.probabilities])
     sidecar = {
         "x": params.x,
         "mu": params.mu,

@@ -67,6 +67,24 @@ def _check_density(m: np.ndarray) -> None:
         raise ValueError(f"trace is {tr[off > _HERM_ATOL][0]}, not 1")
 
 
+def _density_stack(m: np.ndarray) -> list:
+    """One DensityMatrix per matrix of a (T, 2^n, 2^n) stack, held to
+    DensityMatrix's rules (as check_psd=False) by one _check_density of
+    the whole stack instead of one per matrix.  The samples are read-only
+    views of one private copy of the stack."""
+    _check_density(m)
+    m = np.array(m, dtype=complex)
+    m.setflags(write=False)
+    n = m.shape[-1].bit_length() - 1
+    out = []
+    for matrix in m:
+        rho = object.__new__(DensityMatrix)
+        object.__setattr__(rho, "matrix", matrix)
+        object.__setattr__(rho, "n_qubits", n)
+        out.append(rho)
+    return out
+
+
 def from_statevector(state: StateVector) -> DensityMatrix:
     """The projector |psi><psi|."""
     a = state.amplitudes

@@ -178,8 +178,10 @@ def reduced_evolution(h: HamiltonianSpec, t_grid, rho_se0: DensityMatrix, keep) 
     off-diagonal magnitude.  One eigendecomposition serves the whole
     grid, which is evolved as one (T, d, d) stack: the joint states are
     held to DensityMatrix's rules, the environment is traced out, and one
-    eigvalsh gives every reduced spectrum.  A sample is the same, bit for
-    bit, whatever grid it comes in.
+    eigvalsh gives every reduced spectrum.  The reduced stack is checked
+    as a whole, not per sample, and each sample's DensityMatrix is a
+    read-only view of it.  A sample is the same, bit for bit, whatever
+    grid it comes in.
     """
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or not np.isfinite(ts).all():
@@ -199,9 +201,9 @@ def reduced_evolution(h: HamiltonianSpec, t_grid, rho_se0: DensityMatrix, keep) 
     diag = np.arange(rho_s.shape[-1])
     off[:, diag, diag] = 0.0
     offdiag = off.max(axis=(-2, -1))
-    return [ReducedSample(float(t), DensityMatrix(m, check_psd=False),
-                          float(e), float(p), float(o))
-            for t, m, e, p, o in zip(ts, rho_s, entropy, purity, offdiag)]
+    return [ReducedSample(t, rho, e, p, o) for t, rho, e, p, o in zip(
+        ts.tolist(), density._density_stack(rho_s), entropy.tolist(),
+        purity.tolist(), offdiag.tolist())]
 
 
 def rabi_hamiltonian(c1: float = 1.0, c2: float = 1.0) -> HamiltonianSpec:

@@ -189,7 +189,11 @@ def _c_form(delta: np.ndarray) -> np.ndarray:
     # from delta, not c, so a tiny c - 1/2 keeps its digits.  c within
     # 1e-9 of 1/2 contributes 0; smaller c signals a matrix-function
     # error.  As a function of delta it is increasing and concave, and 0
-    # at delta = 0.
+    # at delta = 0.  A NaN or infinite delta is a ValueError: NaN would
+    # pass both guards below and be masked as dead.
+    if not np.isfinite(delta).all():
+        bad = delta[~np.isfinite(delta)][0]
+        raise ValueError(f"non-finite symplectic value c^2 - 1/4 = {bad}")
     mu = delta + 0.25
     if mu.min() < -1e-9:
         raise ValueError(f"negative symplectic spectrum {mu.min()} beyond tolerance")
@@ -395,13 +399,25 @@ def _shell_entropies(ls, N: int, j_maxes) -> np.ndarray:
     return _shell_terms(ls, N, j_maxes)[0]
 
 
-def _tail_below(term: float, prev: float, bound: float) -> bool:
-    # the geometric remainder term * rho/(1 - rho), rho = term/prev, is
-    # below bound (a zero term ends the sum)
-    if term == 0.0:
-        return True
-    rho = term / prev if prev > 0.0 else 1.0
-    return rho < 1.0 and term * rho / (1.0 - rho) < bound
+def _accumulate(S: np.ndarray, prev: np.ndarray, ls: np.ndarray,
+                terms: np.ndarray) -> tuple:
+    # Add one stack of l-terms (one row per radius) to the running sums S
+    # in ascending l, each row stopping at its first l >= 2 whose
+    # geometric remainder term * rho/(1 - rho), rho = term/prev (1 when
+    # prev is not positive), is below _TAIL of the sum so far; a zero
+    # term ends the sum.  cumsum adds left to right, so every sum is the
+    # one a term-by-term loop makes.  Returns the new sums, the last term
+    # and l summed, and which rows stopped.
+    running = np.cumsum(np.column_stack([S, terms]), axis=1)[:, 1:]
+    before = np.column_stack([prev, terms[:, :-1]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.where(before > 0.0, terms / before, 1.0)
+        remainder = terms * rho / (1.0 - rho)
+    stop = (ls >= 2) & ((terms == 0.0) | ((rho < 1.0) & (remainder < _TAIL * running)))
+    stopped = stop.any(axis=1)
+    last = np.where(stopped, stop.argmax(axis=1), len(ls) - 1)
+    rows = np.arange(len(S))
+    return running[rows, last], terms[rows, last], ls[last], stopped
 
 
 def area_law_scan(N: int, l_max: int) -> EntropyCurve:
@@ -443,14 +459,9 @@ def area_law_scan(N: int, l_max: int) -> EntropyCurve:
         ls = np.arange(l0, min(l0 + _L_STACK, l_max + 1))
         entropies, bounds = _shell_terms(ls, N, radii)
         terms = (2 * ls + 1) * entropies
-        for idx, row in zip(radii, terms):
-            for l, term in zip(ls, row):
-                S[idx] += term
-                l_stop[idx] = l
-                if l >= 2 and _tail_below(term, prev[idx], _TAIL * S[idx]):
-                    active[idx] = False
-                    break
-                prev[idx] = term
+        S[radii], prev[radii], l_stop[radii], stopped = _accumulate(
+            S[radii], prev[radii], ls, terms)
+        active[radii[stopped]] = False
         summed = ls <= l_stop[radii, None]
         corner_bound = max(corner_bound, float(bounds[summed].max()))
     r = np.arange(N + 1) + 0.5

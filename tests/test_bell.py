@@ -200,3 +200,34 @@ def test_violation_curve_rows():
     assert rows[0][2] == pytest.approx(0.0, abs=1e-12)
     assert rows[1][1] == pytest.approx(1.0, abs=1e-12)  # maximally entangled
     assert rows[1][2] == pytest.approx(2.0 * math.sqrt(2.0) - 2.0, abs=1e-12)
+
+
+def _violation_row_per_state(alpha):
+    """Reference: one alpha at a time through the public density-matrix
+    route, as violation_curve computed its rows before they were stacked."""
+    from qilab import density
+
+    rho = density.partial_trace(
+        density.from_statevector(bell.entangled_state(alpha)), [0])
+    entropy = density.von_neumann_entropy(rho).entropy_bits
+    _, e_max = bell.optimal_settings(alpha)
+    return (alpha, float(entropy), float(e_max - 2.0))
+
+
+def test_violation_curve_equals_the_per_state_route_bit_for_bit():
+    alphas = np.linspace(0.0, math.pi / 2, 101)
+    assert alphas[0] == 0.0 and alphas[-1] == math.pi / 2  # endpoints included
+    rows = bell.violation_curve(alphas)
+    assert rows == [_violation_row_per_state(float(a)) for a in alphas]
+    assert all(type(v) is float for row in rows for v in row)
+
+
+def test_violation_curve_empty_and_out_of_range():
+    assert bell.violation_curve([]) == []
+    for bad in (-1e-12, math.pi / 2 + 1e-12, math.nan):
+        with pytest.raises(ValueError) as single:
+            bell.entangled_state(bad)
+        with pytest.raises(ValueError) as stacked:
+            bell.violation_curve([0.3, bad, 0.5])
+        assert str(stacked.value) == str(single.value)
+        assert "alpha must lie in [0, pi/2]" in str(stacked.value)

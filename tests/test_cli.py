@@ -1,10 +1,12 @@
 """CLI tests: file outputs, transcripts, determinism, error reporting."""
 
+import argparse
 import json
 import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from qilab import cli
@@ -336,3 +338,25 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
             == (tmp_path / "fresh" / "rabi.csv").read_bytes())
     assert warm_out.replace("warm", "fresh") == fresh.stdout
 
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_table_writes_each_value_as_repr_of_float(tmp_path, fmt):
+    columns = ["a", "b", "c", "d", "e"]
+    rows = [
+        [1, 2.5, np.float64(0.1), -0.0, np.int64(-3)],
+        [2**53 + 1, np.float32(0.1), 1e-300, np.float64(-0.0), -7.323027740996917e-18],
+    ]
+    args = argparse.Namespace(subcommand="table", format=fmt, out=str(tmp_path))
+    out = cli._emit_table(args, columns, rows)
+    assert out["rows"] == 2
+    text = (tmp_path / f"table.{fmt}").read_text()
+    if fmt == "csv":
+        want = "\n".join([",".join(columns)] + [
+            ",".join(repr(float(v)) for v in row) for row in rows]) + "\n"
+    else:
+        want = json.dumps({"columns": columns,
+                           "rows": [[float(v) for v in row] for row in rows]},
+                          sort_keys=True, indent=2) + "\n"
+    assert text == want
+    assert "-0.0" in text

@@ -370,3 +370,34 @@ def test_non_finite_times_are_rejected(t):
     for name, call in calls.items():
         with pytest.raises(ValueError, match="time must be finite"):
             call()
+
+
+@pytest.mark.parametrize("n, keep", _GRID_CASES,
+                         ids=[f"n{n}-keep{''.join(map(str, k))}" for n, k in _GRID_CASES])
+def test_reduced_samples_hold_read_only_density_matrices(n, keep):
+    h, rho0 = _random_model(n, seed=60 + n + sum(keep))
+    for s in dynamics.reduced_evolution(h, np.linspace(0.0, 3.0, 7), rho0, keep):
+        assert isinstance(s.rho, density.DensityMatrix)
+        assert s.rho.n_qubits == len(keep)
+        assert s.rho.matrix.shape == (2 ** len(keep),) * 2
+        assert not s.rho.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            s.rho.matrix[0, 0] = 0.0
+        # the matrix is one DensityMatrix itself accepts, unchanged
+        again = density.DensityMatrix(s.rho.matrix)
+        assert np.array_equal(again.matrix, s.rho.matrix)
+
+
+def test_density_stack_checks_the_stack_and_copies_it():
+    good = np.diag([0.25, 0.75]).astype(complex)
+    stack = np.stack([good, good])
+    rhos = density._density_stack(stack)
+    stack[0, 0, 0] = 7.0  # the samples hold their own copy
+    assert [r.n_qubits for r in rhos] == [1, 1]
+    assert all(np.array_equal(r.matrix, good) for r in rhos)
+    bad = np.diag([0.7, 0.7]).astype(complex)
+    with pytest.raises(ValueError) as single:
+        density.DensityMatrix(bad, check_psd=False)
+    with pytest.raises(ValueError) as batch:
+        density._density_stack(np.stack([good, bad]))
+    assert str(batch.value) == str(single.value)

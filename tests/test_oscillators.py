@@ -313,3 +313,61 @@ def test_area_law_scan_reports_its_corner_bound():
     curve = osc.area_law_scan(60, 300)
     assert 0.0 < curve.corner_bound <= osc._CORNER_TOL
     assert osc._CORNER_TOL <= 1e-14
+
+
+def _area_law_scan_loop(N, l_max):
+    """Reference: area_law_scan with the term-by-term l-sum loop it had
+    before the accumulation was vectorised, on the same stacked terms."""
+    def tail_below(term, prev, bound):
+        if term == 0.0:
+            return True
+        rho = term / prev if prev > 0.0 else 1.0
+        return rho < 1.0 and term * rho / (1.0 - rho) < bound
+
+    S = np.zeros(N + 1)
+    prev = np.zeros(N + 1)
+    l_stop = np.full(N + 1, -1)
+    corner_bound = 0.0
+    active = np.ones(N + 1, dtype=bool)
+    active[0] = active[N] = False
+    for l0 in range(0, l_max + 1, osc._L_STACK):
+        radii = np.nonzero(active)[0]
+        if radii.size == 0:
+            break
+        ls = np.arange(l0, min(l0 + osc._L_STACK, l_max + 1))
+        entropies, bounds = osc._shell_terms(ls, N, radii)
+        terms = (2 * ls + 1) * entropies
+        for idx, row in zip(radii, terms):
+            for l, term in zip(ls, row):
+                S[idx] += term
+                l_stop[idx] = l
+                if l >= 2 and tail_below(term, prev[idx], osc._TAIL * S[idx]):
+                    active[idx] = False
+                    break
+                prev[idx] = term
+        summed = ls <= l_stop[radii, None]
+        corner_bound = max(corner_bound, float(bounds[summed].max()))
+    r = np.arange(N + 1) + 0.5
+    samples = tuple((float(rv), float(sv)) for rv, sv in zip(r, S))
+    lam = osc.fit_area_coefficient(samples, osc._FIT_FRACTION * (N + 0.5))
+    return osc.EntropyCurve(N, l_max, samples, osc._FIT_FRACTION, lam,
+                            tuple(int(l) if l >= 0 else None for l in l_stop),
+                            tuple(bool(a) for a in active), float(corner_bound))
+
+
+@pytest.mark.parametrize("N, l_max", [(12, 40), (30, 120), (12, 400)])
+def test_vectorised_l_sums_equal_the_term_by_term_loop(N, l_max):
+    got = osc.area_law_scan(N, l_max)
+    want = _area_law_scan_loop(N, l_max)
+    for name in ("samples", "l_stop", "capped", "corner_bound", "fit_lambda"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got == want
+    if l_max == 400:
+        # the tail test stops several radii before the cap here
+        assert sum(not c for c in got.capped[1:-1]) >= 3
+
+
+@pytest.mark.parametrize("delta", [[math.nan, 0.1], [0.1, math.inf], [-math.inf]])
+def test_spectrum_entropy_rejects_non_finite_values(delta):
+    with pytest.raises(ValueError, match="non-finite symplectic value"):
+        osc._spectrum_entropy(np.array(delta))
