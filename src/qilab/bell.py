@@ -229,7 +229,11 @@ def violation_curve(alphas) -> list:
     """
     from . import density
 
-    alphas = [float(a) for a in np.asarray(alphas, dtype=float)]
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.ndim != 1:
+        raise ValueError(f"alphas must be a one-dimensional sequence of angles, "
+                         f"got shape {alphas.shape}")
+    alphas = alphas.tolist()
     amps = np.array([entangled_state(a).amplitudes for a in alphas],
                     dtype=complex).reshape(len(alphas), 4)
     rho = amps[:, :, None] * amps.conj()[:, None, :]

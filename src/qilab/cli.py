@@ -137,7 +137,8 @@ def _experiment3(args: argparse.Namespace) -> str:
     for k, t in enumerate((0.0, 1.0, 0.5)):
         record = qstate.run_circuit(qstate.exchange_circuit(t), args.shots,
                                     args.seed + k)
-        records.append({"t": t} | json.loads(record.to_json()))
+        # the record's fields are the keys of its to_json
+        records.append({"t": t} | vars(record))
         lines += ["", f"Results for t = {t:g}:", ""]
         for key in ("q0", "q1"):
             lines.append(f"{key}=" + record.qubit_stream(key, 0))
@@ -176,10 +177,9 @@ def _reduced_rows(h, t_grid, rho0, keep) -> np.ndarray:
     # one row per time: t, entropy, purity, offdiag, then the 2x2 rho_S
     # as (re, im) pairs in row-major order, which is the complex stack
     # read as floats
-    samples = dynamics.reduced_evolution(h, t_grid, rho0, keep)
-    scalars = [(s.t, s.entropy_bits, s.purity, s.offdiag_abs) for s in samples]
-    rho = np.array([s.rho.matrix.ravel() for s in samples])
-    return np.hstack([scalars, rho.view(float)])
+    ts, rho, entropy, purity, offdiag = dynamics._reduced_stack(h, t_grid, rho0, keep)
+    return np.column_stack([ts, entropy, purity, offdiag,
+                            rho.reshape(len(ts), -1).view(float)])
 
 
 def _time_grid(t_max: float) -> np.ndarray:

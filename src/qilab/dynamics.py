@@ -12,10 +12,10 @@ measurement demonstration.
 
 from __future__ import annotations
 
-import functools
+import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,24 +58,54 @@ class OperatorString:
             raise ValueError("factors must be nonempty")
 
     def dense(self) -> np.ndarray:
-        return functools.reduce(np.kron, (qstate.PAULI[f] for f in self.factors),
-                                np.array([[self.coefficient]], dtype=complex))
+        """coefficient * (f0 kron f1 kron ...): one broadcast product per
+        factor, the products np.kron forms, in the same order."""
+        out = np.array([[self.coefficient]], dtype=complex)
+        for f in self.factors:
+            d = 2 * out.shape[0]
+            out = (out[:, None, :, None] * qstate.PAULI[f][None, :, None, :]).reshape(d, d)
+        return out
 
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Validated sum of operator strings; the dense total is Hermitian."""
+    """Sum of operator strings on n_qubits qubits, with its dense matrix.
+
+    The terms must be OperatorStrings on n_qubits qubits with finite
+    coefficients, and their sum must be Hermitian within 1e-12.  The
+    sum is formed once, here, and kept read-only as `matrix`.
+    """
 
     n_qubits: int
     terms: tuple
+    matrix: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(self.terms))
+        if not self.terms:
+            raise ValueError("a Hamiltonian needs at least one term")
+        for term in self.terms:
+            if len(term.factors) != self.n_qubits:
+                raise ValueError("all operator strings must share one qubit count")
+            if not cmath.isfinite(term.coefficient):
+                raise ValueError(f"coefficient must be finite, got {term.coefficient!r}")
+        dim = 2**self.n_qubits
+        m = np.zeros((dim, dim), dtype=complex)
+        for term in self.terms:
+            m += term.dense()
+        if not np.abs(m - m.conj().T).max() <= 1e-12:
+            raise ValueError("operator-string sum is not Hermitian")
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
 
 
 def build_hamiltonian(terms) -> HamiltonianSpec:
     """Assemble operator strings into a Hamiltonian, enforcing Hermiticity.
 
     Each term is an OperatorString or a (coefficient, factors) pair.
-    All strings must act on the same number of qubits and the dense sum
-    must be Hermitian within 1e-12.
+    All strings must act on the same number of qubits, their
+    coefficients must be finite and the dense sum must be Hermitian
+    within 1e-12 (HamiltonianSpec's rules).
     """
     strings = []
     for term in terms:
@@ -85,24 +115,13 @@ def build_hamiltonian(terms) -> HamiltonianSpec:
         strings.append(term)
     if not strings:
         raise ValueError("a Hamiltonian needs at least one term")
-    n = len(strings[0].factors)
-    for s in strings:
-        if len(s.factors) != n:
-            raise ValueError("all operator strings must share one qubit count")
-    spec = HamiltonianSpec(n, tuple(strings))
-    h = dense(spec)
-    if np.max(np.abs(h - h.conj().T)) > 1e-12:
-        raise ValueError("operator-string sum is not Hermitian")
-    return spec
+    return HamiltonianSpec(len(strings[0].factors), tuple(strings))
 
 
 def dense(h: HamiltonianSpec) -> np.ndarray:
-    """Dense matrix sum of the operator strings."""
-    dim = 2**h.n_qubits
-    out = np.zeros((dim, dim), dtype=complex)
-    for term in h.terms:
-        out += term.dense()
-    return out
+    """The dense matrix sum of the operator strings: the read-only array
+    the HamiltonianSpec formed and checked when it was built."""
+    return h.matrix
 
 
 def from_dense(matrix) -> HamiltonianSpec:
@@ -175,13 +194,25 @@ def reduced_evolution(h: HamiltonianSpec, t_grid, rho_se0: DensityMatrix, keep) 
     t_grid is a one-dimensional sequence of finite times and keep lists
     the system qubit indices.  Each sample carries rho_S(t) as a
     DensityMatrix, its entropy in bits, its purity, and its largest
-    off-diagonal magnitude.  One eigendecomposition serves the whole
-    grid, which is evolved as one (T, d, d) stack: the joint states are
-    held to DensityMatrix's rules, the environment is traced out, and one
-    eigvalsh gives every reduced spectrum.  The reduced stack is checked
-    as a whole, not per sample, and each sample's DensityMatrix is a
-    read-only view of it.  A sample is the same, bit for bit, whatever
-    grid it comes in.
+    off-diagonal magnitude.  The samples wrap the arrays of
+    _reduced_stack: each sample's DensityMatrix is a read-only view of
+    the reduced stack, which was checked as a whole, not per sample.  A
+    sample is the same, bit for bit, whatever grid it comes in.
+    """
+    ts, rho_s, entropy, purity, offdiag = _reduced_stack(h, t_grid, rho_se0, keep)
+    return [ReducedSample(t, rho, e, p, o) for t, rho, e, p, o in zip(
+        ts.tolist(), density._density_stack(rho_s, check=False), entropy.tolist(),
+        purity.tolist(), offdiag.tolist())]
+
+
+def _reduced_stack(h: HamiltonianSpec, t_grid, rho_se0: DensityMatrix, keep):
+    """reduced_evolution's arrays: (times, rho_S stack, entropies in bits,
+    purities, largest off-diagonal magnitudes), one entry per time.
+
+    One eigendecomposition serves the whole grid, which is evolved as
+    one (T, d, d) stack: the joint states are held to DensityMatrix's
+    rules, the environment is traced out, the reduced stack is held to
+    the same rules once, and one eigvalsh gives every reduced spectrum.
     """
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or not np.isfinite(ts).all():
@@ -196,14 +227,13 @@ def reduced_evolution(h: HamiltonianSpec, t_grid, rho_se0: DensityMatrix, keep) 
     density._check_density(rho_t)
     rho_s = qstate._trace_out(rho_t, keep)
     entropy = density.entropy_bits(density._clamped_eigenvalues(rho_s))
+    density._check_density(rho_s)
     purity = density._purities(rho_s)
     off = np.abs(rho_s)
     diag = np.arange(rho_s.shape[-1])
     off[:, diag, diag] = 0.0
     offdiag = off.max(axis=(-2, -1))
-    return [ReducedSample(t, rho, e, p, o) for t, rho, e, p, o in zip(
-        ts.tolist(), density._density_stack(rho_s), entropy.tolist(),
-        purity.tolist(), offdiag.tolist())]
+    return ts, rho_s, entropy, purity, offdiag
 
 
 def rabi_hamiltonian(c1: float = 1.0, c2: float = 1.0) -> HamiltonianSpec:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import entropy_bits
+from .qstate import _is_int
 
 __all__ = [
     "Distribution",
@@ -38,7 +39,9 @@ class Distribution:
             raise ValueError("probabilities must be a nonempty 1-d array")
         if np.any(p < -1e-15):
             raise ValueError("probabilities must be nonnegative")
-        if abs(p.sum() - 1.0) > 1e-12:
+        if not abs(p.sum() - 1.0) <= 1e-12:  # NaN fails the test too
+            if not np.isfinite(p).all():
+                raise ValueError("probabilities must be finite")
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
         p = np.clip(p, 0.0, None)
         p.setflags(write=False)
@@ -115,10 +118,10 @@ def biased_coin_curve(points: int = 101):
     """Entropy of a biased coin across p in [0, 1].
 
     Returns (p, entropy) arrays of the given length; the endpoints
-    contribute 0 via the 0 log 0 convention.
+    contribute 0 via the 0 log 0 convention.  The entropies come from one
+    entropy_bits of the (points, 2) stack of distributions (p, 1 - p).
     """
-    if points < 2:
-        raise ValueError("need at least 2 points")
+    if not _is_int(points) or points < 2:
+        raise ValueError(f"points must be an integer >= 2, got {points!r}")
     p = np.linspace(0.0, 1.0, points)
-    s = np.array([shannon_entropy(Distribution([x, 1.0 - x])) for x in p])
-    return p, s
+    return p, entropy_bits(np.column_stack([p, 1.0 - p]))

@@ -13,13 +13,14 @@ Hamiltonian reaches it term by term through its local operators.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import PAULI, _apply_local
+from .qstate import PAULI, _apply_local, _is_int
 
 __all__ = [
     "PauliDecomposition",
@@ -149,16 +150,21 @@ def hermite_eigenfunction(n: int, x):
     which avoids Hermite-polynomial overflow; n is capped at 60, the
     verified stable range.
     """
-    if not 0 <= n <= 60:
-        raise ValueError(f"level must lie in 0..60, got {n}")
+    if not _is_int(n) or not 0 <= n <= 60:
+        raise ValueError(f"level must be an integer in 0..60, got {n!r}")
+    return next(itertools.islice(_hermite_levels(x), n, None))
+
+
+def _hermite_levels(x):
+    # Psi_0(x), Psi_1(x), ... without end: the recurrence itself, shared by
+    # hermite_eigenfunction and sampling_fidelity's one pass over its levels.
     x = np.asarray(x, dtype=float)
     p0 = np.pi**-0.25 * np.exp(-x * x / 2.0)
-    if n == 0:
-        return p0
     p1 = math.sqrt(2.0) * x * p0
-    for k in range(2, n + 1):
+    yield p0
+    for k in itertools.count(2):
+        yield p1
         p0, p1 = p1, math.sqrt(2.0 / k) * x * p1 - math.sqrt((k - 1) / k) * p0
-    return p1
 
 
 def sampling_grid(n_q: int):
@@ -176,11 +182,9 @@ def _dirichlet(u: np.ndarray, period: float, n_samples: int) -> np.ndarray:
     # Band-limited interpolation kernel for an even number of uniform
     # samples; the removable singularity at u = 0 (mod period) is 1.
     a = np.pi * u / period
-    out = np.ones_like(u)
-    open_angle = np.abs(np.sin(a)) >= 1e-12
-    out[open_angle] = np.sin(n_samples * a[open_angle]) / (
-        n_samples * np.tan(a[open_angle]))
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.sin(n_samples * a) / (n_samples * np.tan(a))
+    return np.where(np.abs(np.sin(a)) >= 1e-12, ratio, 1.0)
 
 
 class FidelityReport(NamedTuple):
@@ -207,23 +211,25 @@ def sampling_fidelity(n_q: int, n_levels: int) -> list:
     """
     if not 1 <= n_q <= 8:
         raise ValueError(f"n_q must lie in 1..8, got {n_q}")
-    if n_levels < 1:
-        raise ValueError("need at least one level")
+    if not _is_int(n_levels) or not 1 <= n_levels <= 61:
+        raise ValueError(f"n_levels must be an integer in 1..61, got {n_levels!r}")
     size = 2**n_q
     length = nyquist_L(size)
     xs = sampling_grid(n_q)
     xf = np.linspace(-length, length, _FINE_POINTS)
     kernel = _dirichlet(xf[:, None] - xs[None, :], 2.0 * length, size)
-    reports = []
-    for n in range(n_levels):
-        exact = hermite_eigenfunction(n, xf)
-        recon = kernel @ hermite_eigenfunction(n, xs)
-        overlap = np.trapezoid(exact * recon, xf)
-        norm = math.sqrt(np.trapezoid(exact * exact, xf) *
-                         np.trapezoid(recon * recon, xf))
-        reports.append(FidelityReport(
-            n, float(np.max(np.abs(exact - recon))), float(1.0 - abs(overlap) / norm)))
-    return reports
+    levels = np.stack(list(itertools.islice(_hermite_levels(np.concatenate([xf, xs])),
+                                            n_levels)))
+    exact, samples = levels[:, :_FINE_POINTS], levels[:, _FINE_POINTS:]
+    # one matrix-vector product per level: a matrix product sums in
+    # another order and changes the last bits
+    recon = np.stack([kernel @ row for row in samples])
+    overlap = np.trapezoid(exact * recon, xf)
+    norm = np.sqrt(np.trapezoid(exact * exact, xf) * np.trapezoid(recon * recon, xf))
+    max_error = np.abs(exact - recon).max(axis=1)
+    infidelity = 1.0 - np.abs(overlap) / norm
+    return [FidelityReport(n, e, i) for n, e, i in
+            zip(range(n_levels), max_error.tolist(), infidelity.tolist())]
 
 
 @dataclass(frozen=True)
@@ -332,13 +338,12 @@ def _occupation_bits(occupations) -> list:
     return bits
 
 
-def _schwinger_states() -> list:
-    states = []
-    for components, weight in _S_COMPONENTS:
-        s = np.zeros((2,) * 4 + (3,) * 4)
+def _schwinger_states() -> np.ndarray:
+    # the four state tensors, stacked on a leading axis
+    states = np.zeros((4,) + (2,) * 4 + (3,) * 4)
+    for s, (components, weight) in zip(states, _S_COMPONENTS):
         for occupations, fluxes in components:
             s[tuple(_occupation_bits(occupations)) + tuple(f + 1 for f in fluxes)] += weight
-        states.append(s)
     return states
 
 
@@ -392,28 +397,27 @@ def schwinger_project(params: SchwingerParams) -> np.ndarray:
     """<s_i| H |s_j> from the first-principles Hamiltonian.
 
     Applies H term by term, each term a product of local operators on
-    the site and link axes, to the four explicit state tensors and takes
-    the overlaps.  A Gauss-law violation or a loss of orthonormality in
-    the constructed states is a ValueError; a result that differs from
-    schwinger_h4 by more than 1e-10 (scaled by its largest entry once
-    that exceeds 1) is an ArithmeticError.
+    the site and link axes, to the four explicit state tensors at once
+    and takes the overlaps.  A Gauss-law violation or a loss of
+    orthonormality in the constructed states is a ValueError; a result
+    that differs from schwinger_h4 by more than 1e-10 (scaled by its
+    largest entry once that exceeds 1) is an ArithmeticError.
     """
     problems = gauss_report()
     if problems:
         raise ValueError("state construction violates Gauss's law: "
                          + "; ".join(problems))
     states = _schwinger_states()
-    gram = np.array([[np.vdot(si, sj) for sj in states] for si in states])
-    if np.max(np.abs(gram - np.eye(4))) > 1e-12:
+    flat = states.reshape(4, -1)
+    if not np.abs(flat @ flat.T - np.eye(4)).max() <= 1e-12:
         raise ValueError("constructed states are not orthonormal")
-    h_states = [np.zeros_like(s) for s in states]
+    h_states = np.zeros_like(states)
     for coeff, ops in _schwinger_terms(params):
-        for s, hs in zip(states, h_states):
-            t = s
-            for axis, op in ops.items():
-                t = _apply_local(op, t, [axis])
-            hs += coeff * t
-    h = np.array([[np.vdot(si, hs) for hs in h_states] for si in states])
+        t = states
+        for axis, op in ops.items():
+            t = _apply_local(op, t, [1 + axis])  # axis 0 holds the four states
+        h_states += coeff * t
+    h = flat @ h_states.reshape(4, -1).T
     h4 = schwinger_h4(params)
     err = np.max(np.abs(h - h4))
     if not err <= 1e-10 * max(1.0, np.max(np.abs(h4))):

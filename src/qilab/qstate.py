@@ -7,6 +7,7 @@ physical; comparisons go through Bloch vectors or overlap magnitudes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -97,7 +98,10 @@ class Gate:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape not in ((2, 2), (4, 4)):
             raise ValueError(f"gate matrix must be 2x2 or 4x4, got {m.shape}")
-        if np.abs(m @ m.conj().T - np.eye(m.shape[0])).max() > _ATOL_UNITARY:
+        # a NaN or inf entry leaves a NaN residual, so this test catches it too
+        if not np.abs(m @ m.conj().T - np.eye(m.shape[0])).max() <= _ATOL_UNITARY:
+            if not np.isfinite(m).all():
+                raise ValueError(f"gate {self.name!r} matrix has a non-finite entry")
             raise ValueError(f"gate {self.name!r} is not unitary within {_ATOL_UNITARY}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -121,29 +125,40 @@ def _pow_gate(pauli: np.ndarray, name: str, t: float) -> Gate:
     return Gate(name, (float(t),), math.cos(a) * _I2 + 1j * math.sin(a) * pauli)
 
 
+_FIXED_GATES = {
+    "X": _X, "Y": _Y, "Z": _Z, "H": _H,
+    "CNOT": _CNOT, "CX": _CNOT,
+    "CY": _controlled(_Y), "CZ": _controlled(_Z),
+    "SWAP": _SWAP,
+}
+
+
+@functools.cache
+def _fixed_gate(name: str) -> Gate:
+    # Built and checked once per name: a Gate is frozen with a read-only
+    # matrix, so every caller can share the instance.
+    return Gate(name, (), _FIXED_GATES[name])
+
+
 def standard_gate(name: str, *params: float) -> Gate:
-    """Look up a gate from the standard library by name and parameters."""
-    fixed = {
-        "X": _X, "Y": _Y, "Z": _Z, "H": _H,
-        "CNOT": _CNOT, "CX": _CNOT,
-        "CY": _controlled(_Y), "CZ": _controlled(_Z),
-        "SWAP": _SWAP,
-    }
-    if name in fixed:
+    """Look up a gate from the standard library by name and parameters.
+
+    A parametric gate's parameter must be finite."""
+    if name in _FIXED_GATES:
         if params:
             raise ValueError(f"gate {name} takes no parameters")
-        return Gate(name, (), fixed[name])
-    if name in ("XPow", "YPow", "ZPow"):
-        if len(params) != 1:
-            raise ValueError(f"gate {name} takes exactly one parameter")
-        pauli = {"XPow": _X, "YPow": _Y, "ZPow": _Z}[name]
-        return _pow_gate(pauli, name, params[0])
+        return _fixed_gate(name)
+    if name not in ("XPow", "YPow", "ZPow", "RPhi"):
+        raise ValueError(f"unknown gate {name!r}")
+    if len(params) != 1:
+        raise ValueError(f"gate {name} takes exactly one parameter")
+    t = float(params[0])
+    if not math.isfinite(t):
+        raise ValueError(f"gate {name} parameter must be finite, got {t!r}")
     if name == "RPhi":
-        if len(params) != 1:
-            raise ValueError("gate RPhi takes exactly one parameter")
-        phi = float(params[0])
-        return Gate("RPhi", (phi,), np.array([[1, 0], [0, np.exp(1j * phi)]]))
-    raise ValueError(f"unknown gate {name!r}")
+        return Gate("RPhi", (t,), np.array([[1, 0], [0, np.exp(1j * t)]]))
+    pauli = {"XPow": _X, "YPow": _Y, "ZPow": _Z}[name]
+    return _pow_gate(pauli, name, t)
 
 
 # ---------------------------------------------------------------------------

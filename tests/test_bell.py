@@ -231,3 +231,9 @@ def test_violation_curve_empty_and_out_of_range():
             bell.violation_curve([0.3, bad, 0.5])
         assert str(stacked.value) == str(single.value)
         assert "alpha must lie in [0, pi/2]" in str(stacked.value)
+
+
+@pytest.mark.parametrize("alphas", [0.3, np.float64(0.3), [[0.1, 0.2]], np.zeros((2, 2))])
+def test_violation_curve_names_alphas_that_are_not_a_sequence(alphas):
+    with pytest.raises(ValueError, match="alphas must be a one-dimensional sequence"):
+        bell.violation_curve(alphas)

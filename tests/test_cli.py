@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from qilab import cli
+from qilab import cli, density, dynamics, qstate
 from qilab import oscillators as osc
 
 
@@ -360,3 +360,33 @@ def test_emit_table_writes_each_value_as_repr_of_float(tmp_path, fmt):
                           sort_keys=True, indent=2) + "\n"
     assert text == want
     assert "-0.0" in text
+
+
+def _sample_route_csv(h, t_max, rho0):
+    # the route the rabi and decohere tables came from before they were
+    # built from arrays: one ReducedSample per time, unpacked row by row
+    samples = dynamics.reduced_evolution(h, np.linspace(0.0, t_max, 400), rho0, [0])
+    lines = [",".join(cli._RHO_COLUMNS)]
+    for s in samples:
+        row = [s.t, s.entropy_bits, s.purity, s.offdiag_abs]
+        for v in s.rho.matrix.ravel():
+            row += [v.real, v.imag]
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("t_max", [None, "3.5", "1e-3"])
+def test_rabi_and_decohere_tables_are_the_sample_route_bit_for_bit(tmp_path, t_max):
+    flag = [] if t_max is None else ["--t-max", t_max]
+    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    models = {
+        "rabi": (dynamics.rabi_hamiltonian(), 2.0 * math.pi,
+                 qstate.StateVector.computational([0, 1])),
+        "decohere": (dynamics.decoherence_hamiltonian(), 20.0, qstate.StateVector(
+            3, np.kron(np.kron(plus, [1.0, 0.0]), [0.0, 1.0]).astype(complex))),
+    }
+    for sub, (h, default, psi0) in models.items():
+        _run(tmp_path, sub, *flag)
+        want = _sample_route_csv(h, default if t_max is None else float(t_max),
+                                 density.from_statevector(psi0))
+        assert (tmp_path / f"{sub}.csv").read_text() == want

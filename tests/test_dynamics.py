@@ -1,5 +1,7 @@
 """Spin-exchange dynamics tests: Hamiltonians, evolution, Kraus maps."""
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -401,3 +403,79 @@ def test_density_stack_checks_the_stack_and_copies_it():
     with pytest.raises(ValueError) as batch:
         density._density_stack(np.stack([good, bad]))
     assert str(batch.value) == str(single.value)
+
+
+def _kron_reduce(op):
+    # the route OperatorString.dense replaced
+    return functools.reduce(np.kron, (qstate.PAULI[f] for f in op.factors),
+                            np.array([[op.coefficient]], dtype=complex))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_operator_string_dense_is_the_kron_reduce_bit_for_bit(n):
+    # signed zeros in the coefficient and in every factor's zero entries
+    coeffs = (1.0, -0.5, 2.5j, complex(-0.0, 1.0), complex(0.3, -0.0), -1e-300)
+    for factors in itertools.product("1xyz+-", repeat=n):
+        for c in coeffs:
+            op = dynamics.OperatorString(c, factors)
+            got, want = op.dense(), _kron_reduce(op)
+            assert got.shape == want.shape == (2**n, 2**n)
+            assert got.tobytes() == want.tobytes(), (c, factors)
+
+
+def test_dense_is_the_read_only_term_sum():
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    specs = (dynamics.rabi_hamiltonian(), dynamics.measurement_hamiltonian(),
+             dynamics.decoherence_hamiltonian(), dynamics.from_dense((a + a.conj().T) / 2))
+    for h in specs:
+        m = dynamics.dense(h)
+        assert m is h.matrix and m.dtype == complex
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.0
+        want = np.zeros((2**h.n_qubits,) * 2, dtype=complex)
+        for term in h.terms:
+            want += term.dense()
+        assert m.tobytes() == want.tobytes()
+
+
+def test_hamiltonian_spec_keeps_its_matrix_out_of_eq_and_repr():
+    h = dynamics.rabi_hamiltonian()
+    assert h == dynamics.rabi_hamiltonian()
+    assert hash(h) == hash(dynamics.rabi_hamiltonian())
+    assert "matrix" not in repr(h)
+
+
+def test_hamiltonian_spec_built_directly_is_checked():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        dynamics.HamiltonianSpec(1, (dynamics.OperatorString(1j, "z"),))
+    with pytest.raises(ValueError, match="one qubit count"):
+        dynamics.HamiltonianSpec(2, (dynamics.OperatorString(1.0, "z"),))
+    with pytest.raises(ValueError, match="at least one term"):
+        dynamics.HamiltonianSpec(1, ())
+    h = dynamics.HamiltonianSpec(1, [dynamics.OperatorString(0.5, "x")])
+    assert h.terms == (dynamics.OperatorString(0.5, "x"),)
+    assert h.matrix.tobytes() == dynamics.OperatorString(0.5, "x").dense().tobytes()
+
+
+@pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+def test_hamiltonian_rejects_a_non_finite_coefficient(coeff):
+    with pytest.raises(ValueError, match="coefficient must be finite"):
+        dynamics.build_hamiltonian([(coeff, "z")])
+    with pytest.raises(ValueError, match="coefficient must be finite"):
+        dynamics.HamiltonianSpec(2, (dynamics.OperatorString(1.0, "zz"),
+                                     dynamics.OperatorString(coeff, "1z")))
+
+
+def test_evolution_reuses_the_kept_matrix(monkeypatch):
+    h = dynamics.measurement_hamiltonian()
+    rho0 = density.from_statevector(qstate.StateVector.computational([0, 1]))
+
+    def no_rebuild(self):
+        raise AssertionError("operator string rebuilt after the spec was made")
+
+    monkeypatch.setattr(dynamics.OperatorString, "dense", no_rebuild)
+    dynamics.propagator(h, 0.7)
+    dynamics.reduced_evolution(h, [0.0, 0.7], rho0, [0])
+    dynamics.kraus_extract(h, 0.7)

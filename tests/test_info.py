@@ -100,3 +100,24 @@ def test_useless_readout_preserves_prior():
         post = info.bayes_posterior(prior, noise, b)
         assert post[0] == pytest.approx(0.3, abs=1e-12)
         assert post[1] == pytest.approx(0.7, abs=1e-12)
+
+
+@pytest.mark.parametrize("points", [2, 3, 101, 1000])
+def test_biased_coin_curve_is_the_per_point_route_bit_for_bit(points):
+    p, s = info.biased_coin_curve(points)
+    want = np.array([info.shannon_entropy(info.Distribution([x, 1.0 - x])) for x in p])
+    assert s.shape == p.shape == (points,)
+    assert s.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("points", [2.5, True, 1, 0, -3, "101", None])
+def test_biased_coin_curve_names_a_bad_point_count(points):
+    with pytest.raises(ValueError, match="points must be an integer >= 2"):
+        info.biased_coin_curve(points)
+
+
+@pytest.mark.parametrize("probs", [[0.5, np.nan], [np.nan, np.nan], [np.inf, 0.0],
+                                   [1.0, np.nan, 0.0]])
+def test_distribution_rejects_non_finite_entries(probs):
+    with pytest.raises(ValueError, match="probabilities must be finite"):
+        info.Distribution(probs)

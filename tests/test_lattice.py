@@ -241,3 +241,107 @@ def test_schwinger_evolve_initial_validation():
     p = lattice.SchwingerParams(x=0.5, mu=0.1)
     with pytest.raises(ValueError):
         lattice.schwinger_evolve(p, [0.0], initial=[1.0, 0.0])
+
+
+def _dirichlet_masked(u, period, n_samples):
+    # the kernel route _dirichlet replaced: a masked scatter into ones
+    a = np.pi * u / period
+    out = np.ones_like(u)
+    open_angle = np.abs(np.sin(a)) >= 1e-12
+    out[open_angle] = np.sin(n_samples * a[open_angle]) / (
+        n_samples * np.tan(a[open_angle]))
+    return out
+
+
+def _fidelity_per_level(n_q, n_levels):
+    # the route sampling_fidelity replaced: one hermite_eigenfunction pair
+    # and one set of integrals per level
+    size = 2**n_q
+    length = lattice.nyquist_L(size)
+    xs = lattice.sampling_grid(n_q)
+    xf = np.linspace(-length, length, 4001)
+    kernel = _dirichlet_masked(xf[:, None] - xs[None, :], 2.0 * length, size)
+    reports = []
+    for n in range(n_levels):
+        exact = lattice.hermite_eigenfunction(n, xf)
+        recon = kernel @ lattice.hermite_eigenfunction(n, xs)
+        overlap = np.trapezoid(exact * recon, xf)
+        norm = math.sqrt(np.trapezoid(exact * exact, xf) *
+                         np.trapezoid(recon * recon, xf))
+        reports.append(lattice.FidelityReport(
+            n, float(np.max(np.abs(exact - recon))), float(1.0 - abs(overlap) / norm)))
+    return reports
+
+
+@pytest.mark.parametrize("n_q", range(1, 9))
+def test_dirichlet_kernel_is_the_masked_route_bit_for_bit(n_q):
+    size = 2**n_q
+    length = lattice.nyquist_L(size)
+    xs = lattice.sampling_grid(n_q)
+    # the fine grid, the sample points themselves (u = 0) and a whole period
+    for x in (np.linspace(-length, length, 4001), xs, xs + 2.0 * length):
+        u = x[:, None] - xs[None, :]
+        got = lattice._dirichlet(u, 2.0 * length, size)
+        assert got.tobytes() == _dirichlet_masked(u, 2.0 * length, size).tobytes()
+
+
+@pytest.mark.parametrize("n_q, n_levels", [(1, 1), (2, 2), (3, 4), (3, 61), (5, 16), (8, 16)])
+def test_sampling_fidelity_is_the_per_level_route_bit_for_bit(n_q, n_levels):
+    got = lattice.sampling_fidelity(n_q, n_levels)
+    want = _fidelity_per_level(n_q, n_levels)
+    assert [type(v) for r in got for v in r] == [int, float, float] * n_levels
+    assert got == want
+
+
+@pytest.mark.parametrize("n_levels", [2.5, True, 0, 62, "4"])
+def test_sampling_fidelity_names_a_bad_level_count(n_levels):
+    with pytest.raises(ValueError, match="n_levels must be an integer in 1..61"):
+        lattice.sampling_fidelity(3, n_levels)
+
+
+def _hermite_two_term(n, x):
+    # hermite_eigenfunction's recurrence as it was written before the
+    # levels were shared with sampling_fidelity
+    x = np.asarray(x, dtype=float)
+    p0 = np.pi**-0.25 * np.exp(-x * x / 2.0)
+    if n == 0:
+        return p0
+    p1 = math.sqrt(2.0) * x * p0
+    for k in range(2, n + 1):
+        p0, p1 = p1, math.sqrt(2.0 / k) * x * p1 - math.sqrt((k - 1) / k) * p0
+    return p1
+
+
+def test_hermite_eigenfunction_is_the_two_term_loop_bit_for_bit():
+    x = np.linspace(-12.0, 12.0, 301)
+    for n in range(61):
+        assert lattice.hermite_eigenfunction(n, x).tobytes() == _hermite_two_term(n, x).tobytes()
+    assert lattice.hermite_eigenfunction(0, 0.0).shape == ()
+    assert lattice.hermite_eigenfunction(5, np.zeros((2, 3))).shape == (2, 3)
+
+
+def _project_per_state(params):
+    # the route schwinger_project replaced: each term applied to each state
+    states = list(lattice._schwinger_states())
+    h_states = [np.zeros_like(s) for s in states]
+    for coeff, ops in lattice._schwinger_terms(params):
+        for s, hs in zip(states, h_states):
+            t = s
+            for axis, op in ops.items():
+                t = qstate._apply_local(op, t, [axis])
+            hs += coeff * t
+    return np.array([[np.vdot(si, hs) for hs in h_states] for si in states])
+
+
+def test_projection_matches_the_per_state_route():
+    for x, mu in ((0.5, 0.1), (1.0, 0.0), (2.0, 1.0), (-0.7, 3.5)):
+        p = lattice.SchwingerParams(x=x, mu=mu)
+        got = lattice.schwinger_project(p)
+        assert got.shape == (4, 4)
+        assert np.max(np.abs(got - _project_per_state(p))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2.5, True, -1, 61])
+def test_hermite_eigenfunction_names_a_bad_level(n):
+    with pytest.raises(ValueError, match="level must be an integer in 0..60"):
+        lattice.hermite_eigenfunction(n, 0.3)

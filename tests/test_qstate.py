@@ -477,3 +477,34 @@ def test_statevector_rejects_non_finite_amplitudes(bad):
     # would let it through
     with pytest.raises(ValueError, match="non-finite amplitude"):
         qstate.StateVector(1, np.array([bad, 0.0], dtype=complex))
+
+
+@pytest.mark.parametrize("name, param", [("XPow", math.nan), ("XPow", math.inf),
+                                         ("YPow", -math.inf), ("ZPow", math.nan),
+                                         ("RPhi", math.inf), ("RPhi", math.nan)])
+def test_parametric_gate_rejects_a_non_finite_parameter(name, param):
+    with pytest.raises(ValueError, match=f"gate {name} parameter must be finite"):
+        qstate.standard_gate(name, param)
+    circuit = qstate.Circuit(1)
+    with pytest.raises(ValueError, match="parameter must be finite"):
+        circuit.add_gate(name, [0], [param])
+    assert circuit.steps == []
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_gate_rejects_a_non_finite_matrix():
+    for bad in (np.array([[np.nan, 0], [0, 1]]), np.diag([1.0, np.inf]),
+                np.full((4, 4), np.nan)):
+        with pytest.raises(ValueError, match="'bad' matrix has a non-finite entry"):
+            qstate.Gate("bad", (), bad)
+
+
+def test_fixed_gates_are_built_once_and_shared():
+    for name in ("X", "Y", "Z", "H", "CNOT", "CX", "CY", "CZ", "SWAP"):
+        g = qstate.standard_gate(name)
+        assert qstate.standard_gate(name) is g
+        assert g.name == name and g.params == ()
+        assert not g.matrix.flags.writeable
+    assert qstate.standard_gate("CX").matrix.tobytes() == qstate.standard_gate("CNOT").matrix.tobytes()
+    # parametric gates are built per call
+    assert qstate.standard_gate("XPow", 0.5) is not qstate.standard_gate("XPow", 0.5)
