@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -137,7 +138,7 @@ def _experiment3(args: argparse.Namespace) -> str:
     for k, t in enumerate((0.0, 1.0, 0.5)):
         record = qstate.run_circuit(qstate.exchange_circuit(t), args.shots,
                                     args.seed + k)
-        # the record's fields are the keys of its to_json
+        # to_json writes the record's fields, so this is its JSON object
         records.append({"t": t} | vars(record))
         lines += ["", f"Results for t = {t:g}:", ""]
         for key in ("q0", "q1"):
@@ -282,8 +283,7 @@ def _hermite(args: argparse.Namespace) -> str:
     reports = lattice.sampling_fidelity(n_q, levels)
     xs = np.linspace(-length, length, 401)
     columns = ["x"] + [f"psi{n}" for n in range(4)]
-    table = np.column_stack([xs] + [lattice.hermite_eigenfunction(n, xs)
-                                    for n in range(4)])
+    table = np.column_stack([xs] + list(itertools.islice(lattice._hermite_levels(xs), 4)))
     payload = {
         "n_q": n_q,
         "L": length,

@@ -67,14 +67,12 @@ def _check_density(m: np.ndarray) -> None:
         raise ValueError(f"trace is {tr[off > _HERM_ATOL][0]}, not 1")
 
 
-def _density_stack(m: np.ndarray, check: bool = True) -> list:
+def _density_stack(m: np.ndarray) -> list:
     """One DensityMatrix per matrix of a (T, 2^n, 2^n) stack, held to
     DensityMatrix's rules (as check_psd=False) by one _check_density of
-    the whole stack instead of one per matrix; check=False is for a stack
-    that has just passed that check.  The samples are read-only views of
-    one private copy of the stack."""
-    if check:
-        _check_density(m)
+    the whole stack instead of one per matrix.  The samples are read-only
+    views of one private copy of the stack."""
+    _check_density(m)
     m = np.array(m, dtype=complex)
     m.setflags(write=False)
     n = m.shape[-1].bit_length() - 1

@@ -196,12 +196,12 @@ def reduced_evolution(h: HamiltonianSpec, t_grid, rho_se0: DensityMatrix, keep) 
     DensityMatrix, its entropy in bits, its purity, and its largest
     off-diagonal magnitude.  The samples wrap the arrays of
     _reduced_stack: each sample's DensityMatrix is a read-only view of
-    the reduced stack, which was checked as a whole, not per sample.  A
+    the reduced stack, which is checked as a whole, not per sample.  A
     sample is the same, bit for bit, whatever grid it comes in.
     """
     ts, rho_s, entropy, purity, offdiag = _reduced_stack(h, t_grid, rho_se0, keep)
     return [ReducedSample(t, rho, e, p, o) for t, rho, e, p, o in zip(
-        ts.tolist(), density._density_stack(rho_s, check=False), entropy.tolist(),
+        ts.tolist(), density._density_stack(rho_s), entropy.tolist(),
         purity.tolist(), offdiag.tolist())]
 
 

@@ -564,10 +564,8 @@ class ExperimentRecord:
         return "".join(s[position] for s in self.registers[key])
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"shots": self.shots, "seed": self.seed,
-             "circuit_digest": self.circuit_digest, "registers": self.registers},
-            sort_keys=True, indent=2)
+        # the JSON object is the record's fields, whatever they are
+        return json.dumps(vars(self), sort_keys=True, indent=2)
 
 
 def run_circuit(circuit: Circuit, shots: int, seed: int) -> ExperimentRecord:
