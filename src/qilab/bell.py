@@ -42,9 +42,7 @@ class ChshSettings:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "beta_prime"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
+            qstate._check_finite(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -178,7 +176,7 @@ def sampled_chsh(settings: ChshSettings, shots: int, seed: int) -> SampledChshRe
     then one uniform per shot in shot order (rng.random(shots)) that
     draws the shot's outcome as qstate.measure would.
     """
-    shots = qstate._check_shots(shots)
+    shots = qstate._check_int("shots", shots, 1)
     rng = qstate._rng(seed)
     base = entangled_state(settings.alpha)
     gammas_a = (0.0, math.pi / 2)            # Q, R

@@ -184,8 +184,7 @@ def _reduced_rows(h, t_grid, rho0, keep) -> np.ndarray:
 
 
 def _time_grid(t_max: float) -> np.ndarray:
-    if not (math.isfinite(t_max) and t_max > 0.0):
-        raise ValueError(f"t_max must be finite and positive, got {t_max}")
+    qstate._check_positive("t_max", qstate._check_finite("t_max", t_max))
     return np.linspace(0.0, t_max, 400)
 
 

@@ -12,7 +12,6 @@ measurement demonstration.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -87,8 +86,7 @@ class HamiltonianSpec:
         for term in self.terms:
             if len(term.factors) != self.n_qubits:
                 raise ValueError("all operator strings must share one qubit count")
-            if not cmath.isfinite(term.coefficient):
-                raise ValueError(f"coefficient must be finite, got {term.coefficient!r}")
+            qstate._check_finite("coefficient", term.coefficient)
         dim = 2**self.n_qubits
         m = np.zeros((dim, dim), dtype=complex)
         for term in self.terms:
@@ -136,7 +134,7 @@ def from_dense(matrix) -> HamiltonianSpec:
     n = int(round(math.log2(m.shape[0])))
     if 2**n != m.shape[0]:
         raise ValueError("dimension must be a power of 2")
-    if np.max(np.abs(m - m.conj().T)) > 1e-12:
+    if not np.max(np.abs(m - m.conj().T)) <= 1e-12:  # NaN fails too
         raise ValueError("matrix must be Hermitian")
     dim = m.shape[0]
     terms = []
@@ -151,8 +149,7 @@ def from_dense(matrix) -> HamiltonianSpec:
 
 def propagator(h: HamiltonianSpec, t: float) -> np.ndarray:
     """U(t) = exp(-i H t) through the Hermitian eigendecomposition."""
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
+    qstate._check_finite("time", t)
     if t == 0.0:
         return np.eye(2**h.n_qubits, dtype=complex)
     evals, vecs = np.linalg.eigh(dense(h))
@@ -214,9 +211,7 @@ def _reduced_stack(h: HamiltonianSpec, t_grid, rho_se0: DensityMatrix, keep):
     rules, the environment is traced out, the reduced stack is held to
     the same rules once, and one eigvalsh gives every reduced spectrum.
     """
-    ts = np.asarray(t_grid, dtype=float)
-    if ts.ndim != 1 or not np.isfinite(ts).all():
-        raise ValueError("t_grid must be a one-dimensional sequence of finite times")
+    ts = qstate._check_times(t_grid)
     if rho_se0.n_qubits != h.n_qubits:
         raise ValueError("state and Hamiltonian qubit counts differ")
     keep = sorted(set(qstate._check_indices(keep, h.n_qubits, "qubit")))

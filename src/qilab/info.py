@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import entropy_bits
-from .qstate import _is_int
+from .qstate import _check_int
 
 __all__ = [
     "Distribution",
@@ -121,7 +121,5 @@ def biased_coin_curve(points: int = 101):
     contribute 0 via the 0 log 0 convention.  The entropies come from one
     entropy_bits of the (points, 2) stack of distributions (p, 1 - p).
     """
-    if not _is_int(points) or points < 2:
-        raise ValueError(f"points must be an integer >= 2, got {points!r}")
-    p = np.linspace(0.0, 1.0, points)
+    p = np.linspace(0.0, 1.0, _check_int("points", points, 2))
     return p, entropy_bits(np.column_stack([p, 1.0 - p]))

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import PAULI, _apply_local, _is_int
+from .qstate import PAULI, StateVector, _apply_local, _check_finite, _check_int, _check_times
 
 __all__ = [
     "PauliDecomposition",
@@ -122,8 +122,7 @@ def digitize(n_q: int) -> DigitizedField:
     weight 2^{n_q - 1}); phi_q^2 is decomposed by squaring the ladder
     and transforming, not by symbolic multiplication.
     """
-    if not 1 <= n_q <= 10:
-        raise ValueError(f"n_q must lie in 1..10, got {n_q}")
+    n_q = _check_int("n_q", n_q, 1, 10)
     size = 2**n_q
     ladder = [size - 1 - 2 * k for k in range(size)]
     length = nyquist_L(size)
@@ -138,9 +137,7 @@ def digitize(n_q: int) -> DigitizedField:
 
 def nyquist_L(n_phi: int) -> float:
     """Optimal field-space truncation L = sqrt(N_phi pi / 2)."""
-    if n_phi < 2:
-        raise ValueError(f"N_phi must be >= 2, got {n_phi}")
-    return math.sqrt(n_phi * math.pi / 2.0)
+    return math.sqrt(_check_int("N_phi", n_phi, 2) * math.pi / 2.0)
 
 
 def hermite_eigenfunction(n: int, x):
@@ -150,8 +147,7 @@ def hermite_eigenfunction(n: int, x):
     which avoids Hermite-polynomial overflow; n is capped at 60, the
     verified stable range.
     """
-    if not _is_int(n) or not 0 <= n <= 60:
-        raise ValueError(f"level must be an integer in 0..60, got {n!r}")
+    n = _check_int("level", n, 0, 60)
     return next(itertools.islice(_hermite_levels(x), n, None))
 
 
@@ -209,10 +205,8 @@ def sampling_fidelity(n_q: int, n_levels: int) -> list:
     where the eigenfunction has not fully decayed, the overlap number
     measures the retained state information.
     """
-    if not 1 <= n_q <= 8:
-        raise ValueError(f"n_q must lie in 1..8, got {n_q}")
-    if not _is_int(n_levels) or not 1 <= n_levels <= 61:
-        raise ValueError(f"n_levels must be an integer in 1..61, got {n_levels!r}")
+    n_q = _check_int("n_q", n_q, 1, 8)
+    n_levels = _check_int("n_levels", n_levels, 1, 61)
     size = 2**n_q
     length = nyquist_L(size)
     xs = sampling_grid(n_q)
@@ -240,8 +234,8 @@ class SchwingerParams:
     mu: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.mu)):
-            raise ValueError("x and mu must be finite")
+        _check_finite("x", self.x)
+        _check_finite("mu", self.mu)
 
 
 def schwinger_h4(params: SchwingerParams) -> np.ndarray:
@@ -282,8 +276,9 @@ class EvolutionSeries(NamedTuple):
 
 
 def schwinger_evolve(params: SchwingerParams, t_grid, initial=None) -> EvolutionSeries:
-    """p_i(t) = |<s_i| exp(-i H4 t) |initial>|^2 via the eigen propagator."""
-    t = np.asarray(t_grid, dtype=float)
+    """p_i(t) = |<s_i| exp(-i H4 t) |initial>|^2 via the eigen propagator;
+    initial (|s1> when omitted) is held to StateVector's rules."""
+    t = _check_times(t_grid)
     if initial is None:
         psi0 = np.zeros(4, dtype=complex)
         psi0[0] = 1.0
@@ -291,6 +286,7 @@ def schwinger_evolve(params: SchwingerParams, t_grid, initial=None) -> Evolution
         psi0 = np.asarray(initial, dtype=complex)
         if psi0.shape != (4,):
             raise ValueError("initial state must be a 4-vector")
+        psi0 = StateVector(2, psi0).amplitudes
     evals, vecs = np.linalg.eigh(schwinger_h4(params))
     coeffs = vecs.conj().T @ psi0
     phases = np.exp(-1j * np.outer(t, evals))

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import _check_indices, _is_int
+from .qstate import _check_indices, _check_int, _check_positive, _is_int
 
 __all__ = [
     "CouplingMatrix",
@@ -77,9 +77,7 @@ def thermal_entropy(beta_omega: float) -> float:
     value is returned.  beta_omega = inf is the zero-temperature limit
     and gives 0.0; NaN and values not above 0 are a ValueError.
     """
-    bw = float(beta_omega)
-    if not bw > 0.0:
-        raise ValueError(f"beta_omega must be positive, got {bw}")
+    bw = _check_positive("beta_omega", float(beta_omega))
     x = math.exp(-bw)
     boltzmann = -math.log1p(-x) + bw * x / (1.0 - x) if x > 0.0 else 0.0
     # c >= 1/2 as tanh <= 1.  Scalar math.log on purpose: np.log differs
@@ -95,9 +93,7 @@ def thermal_entropy(beta_omega: float) -> float:
 
 def partition_function(beta_omega: float) -> float:
     """Z = 1/(2 sinh(bw/2)), the closed form of the geometric series."""
-    bw = float(beta_omega)
-    if not bw > 0.0:
-        raise ValueError(f"beta_omega must be positive, got {bw}")
+    bw = _check_positive("beta_omega", float(beta_omega))
     return 1.0 / (2.0 * math.sinh(bw / 2.0))
 
 
@@ -123,8 +119,7 @@ def tfd_pair(theta: float, omega: float = 1.0) -> TfdPair:
     """
     if not 0.0 < theta < math.pi / 2:
         raise ValueError(f"theta must lie strictly inside (0, pi/2), got {theta}")
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    _check_positive("omega", omega)
     sin, cos = math.sin(theta), math.cos(theta)
     omega_plus = omega * (1.0 + sin) / cos
     omega_minus = omega * (1.0 - sin) / cos
@@ -149,6 +144,7 @@ def tfd_coupling(theta: float, omega: float = 1.0) -> CouplingMatrix:
     """
     if not 0.0 < theta < math.pi / 2:
         raise ValueError(f"theta must lie strictly inside (0, pi/2), got {theta}")
+    _check_positive("omega", omega)
     tan, cos = math.tan(theta), math.cos(theta)
     diag = 1.0 + 2.0 * tan**2
     off = 2.0 * tan / cos
@@ -284,11 +280,7 @@ def radial_K(l: int, N: int) -> CouplingMatrix:
     adjacent coupling -(j+1/2)^2/(j(j+1)), applied verbatim with no
     special boundary rows.
     """
-    for name, value in (("l", l), ("N", N)):
-        if not _is_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if l < 0 or N < 2:
-        raise ValueError("need l >= 0 and N >= 2")
+    l, N = _check_int("l", l, 0), _check_int("N", N, 2)
     return CouplingMatrix(_radial_stack([l], N)[0])
 
 
@@ -465,13 +457,9 @@ def area_law_scan(N: int, l_max: int) -> EntropyCurve:
     (keep everything, pure state) and r = R (keep nothing) are
     exactly 0.  fit_lambda fits S = lambda r^2 over r < 0.975 R.
     """
-    for name, value in (("N", N), ("l_max", l_max)):
-        if not _is_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if N < 10:
+    if _is_int(N) and N < 10:
         raise ValueError("need N >= 10 for a meaningful scan")
-    if l_max < 1:
-        raise ValueError("need l_max >= 1")
+    N, l_max = _check_int("N", N, 10), _check_int("l_max", l_max, 1)
     S = np.zeros(N + 1)
     prev = np.zeros(N + 1)
     l_stop = np.full(N + 1, -1)

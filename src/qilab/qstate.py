@@ -7,6 +7,7 @@ physical; comparisons go through Bloch vectors or overlap magnitudes.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import hashlib
 import json
@@ -50,9 +51,9 @@ class SimulationFault(RuntimeError):
 
 def _rng(seed: int) -> np.random.Generator:
     # PCG64 draws are platform-stable, which the output contracts rely on
-    if seed < 0:
+    if _is_int(seed) and seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    return np.random.Generator(np.random.PCG64(seed))
+    return np.random.Generator(np.random.PCG64(_check_int("seed", seed, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +153,7 @@ def standard_gate(name: str, *params: float) -> Gate:
         raise ValueError(f"unknown gate {name!r}")
     if len(params) != 1:
         raise ValueError(f"gate {name} takes exactly one parameter")
-    t = float(params[0])
-    if not math.isfinite(t):
-        raise ValueError(f"gate {name} parameter must be finite, got {t!r}")
+    t = _check_finite(f"gate {name} parameter", float(params[0]))
     if name == "RPhi":
         return Gate("RPhi", (t,), np.array([[1, 0], [0, np.exp(1j * t)]]))
     pauli = {"XPow": _X, "YPow": _Y, "ZPow": _Z}[name]
@@ -212,6 +211,39 @@ class StateVector:
 def _is_int(v) -> bool:
     # bool is an Integral too, but True is a bug, not the number 1
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+# The scalar-argument rules of every module: each returns the value it
+# accepts and raises a ValueError that names the argument.
+
+def _check_int(name: str, value, lo: int, hi: Optional[int] = None) -> int:
+    """`value` as an int: an integer, not a bool, in lo..hi (hi None: no bound)."""
+    if not (_is_int(value) and lo <= value and (hi is None or value <= hi)):
+        rule = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ValueError(f"{name} must be an integer {rule}, got {value!r}")
+    return int(value)
+
+
+def _check_finite(name: str, value):
+    """A real or complex number; NaN and +-inf fail."""
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _check_positive(name: str, value):
+    """A number above 0: NaN fails (NaN > 0 is False) and inf passes."""
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return value
+
+
+def _check_times(t_grid) -> np.ndarray:
+    """`t_grid` as a one-dimensional float array of finite times."""
+    ts = np.asarray(t_grid, dtype=float)
+    if ts.ndim != 1 or not np.isfinite(ts).all():
+        raise ValueError("t_grid must be a one-dimensional sequence of finite times")
+    return ts
 
 
 def _check_indices(indices: Sequence[int], n: int, what: str) -> tuple:
@@ -417,9 +449,7 @@ class Circuit:
     """
 
     def __init__(self, n_qubits: int):
-        if n_qubits < 1:
-            raise ValueError("need at least one qubit")
-        self.n_qubits = n_qubits
+        self.n_qubits = _check_int("n_qubits", n_qubits, 1)
         self.steps: list = []
         self._registers: dict = {}
 
@@ -484,14 +514,6 @@ class Circuit:
         blob = json.dumps({"n": self.n_qubits, "ops": self.to_ops()},
                           sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def _check_shots(shots) -> int:
-    if not _is_int(shots):
-        raise ValueError(f"shots must be an integer, got {shots!r}")
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    return int(shots)
 
 
 def _run_shots(circuit: Circuit, shots: int, rng: np.random.Generator, emit) -> None:
@@ -576,7 +598,7 @@ def run_circuit(circuit: Circuit, shots: int, seed: int) -> ExperimentRecord:
     `execute` calls on one generator.  A circuit without measurements
     draws nothing.
     """
-    shots = _check_shots(shots)
+    shots = _check_int("shots", shots, 1)
     names = list(circuit.register_widths())
     out = {k: np.empty(shots, dtype=object) for k in names}
 
