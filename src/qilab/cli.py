@@ -1,8 +1,9 @@
 """Command-line front end: rerun every experiment and emit figure data.
 
-Each subcommand writes its data files (CSV/JSON) into --out and prints
-either a text transcript (the experiment commands) or a short JSON
-summary to stdout.  All numeric output uses full round-trip decimal
+Each subcommand writes its data files (CSV/JSON) into --out.  Its
+handler returns either a text transcript (the experiment commands) or a
+summary dict, and main prints it: the transcript as it is, the summary
+as JSON.  All numeric output uses full round-trip decimal
 precision, so identical configurations produce byte-identical files.
 Module errors and unreadable arguments surface as machine-readable
 JSON on stderr with exit status 1.
@@ -60,9 +61,9 @@ def _emit_table(args: argparse.Namespace, columns, rows,
     return out
 
 
-def _transcript(args: argparse.Namespace, record_json: str, lines) -> str:
+def _transcript(args: argparse.Namespace, records: dict, lines) -> str:
     """Write <name>.json (the shot records) and <name>.txt; return the transcript."""
-    _write(args, f"{args.subcommand}.json", record_json)
+    _write(args, f"{args.subcommand}.json", _json_text(records))
     transcript = "\n".join(lines) + "\n"
     _write(args, f"{args.subcommand}.txt", transcript)
     return transcript
@@ -107,7 +108,7 @@ def _experiment1(args: argparse.Namespace) -> str:
         f"Results of {args.shots} trials:", "",
         "Final state=" + record.qubit_stream("Final state", 0),
     ]
-    return _transcript(args, record.to_json() + "\n", lines)
+    return _transcript(args, vars(record), lines)
 
 
 def _experiment2(args: argparse.Namespace) -> str:
@@ -126,7 +127,7 @@ def _experiment2(args: argparse.Namespace) -> str:
         "Results:", "",
         "Final state=" + streams,
     ]
-    return _transcript(args, record.to_json() + "\n", lines)
+    return _transcript(args, vars(record), lines)
 
 
 def _experiment3(args: argparse.Namespace) -> str:
@@ -138,12 +139,11 @@ def _experiment3(args: argparse.Namespace) -> str:
     for k, t in enumerate((0.0, 1.0, 0.5)):
         record = qstate.run_circuit(qstate.exchange_circuit(t), args.shots,
                                     args.seed + k)
-        # to_json writes the record's fields, so this is its JSON object
         records.append({"t": t} | vars(record))
         lines += ["", f"Results for t = {t:g}:", ""]
         for key in ("q0", "q1"):
             lines.append(f"{key}=" + record.qubit_stream(key, 0))
-    return _transcript(args, _json_text({"runs": records}), lines)
+    return _transcript(args, {"runs": records}, lines)
 
 
 def _teleport_transcript(args: argparse.Namespace, deferred: bool) -> str:
@@ -161,26 +161,16 @@ def _teleport_transcript(args: argparse.Namespace, deferred: bool) -> str:
         "Bloch Sphere of the Message qubit in the final state:", "",
         _bloch_text(result.message_final),
     ]
-    return _transcript(args, record.to_json() + "\n", lines)
+    return _transcript(args, vars(record), lines)
 
 
 # ---------------------------------------------------------------------------
 # figure data
 
 
-def _coinflip(args: argparse.Namespace) -> str:
-    out = _emit_table(args, ["p", "entropy"],
-                      np.column_stack(info.biased_coin_curve(101)))
-    return _json_text(out)
-
-
-def _reduced_rows(h, t_grid, rho0, keep) -> np.ndarray:
-    # one row per time: t, entropy, purity, offdiag, then the 2x2 rho_S
-    # as (re, im) pairs in row-major order, which is the complex stack
-    # read as floats
-    ts, rho, entropy, purity, offdiag = dynamics._reduced_stack(h, t_grid, rho0, keep)
-    return np.column_stack([ts, entropy, purity, offdiag,
-                            rho.reshape(len(ts), -1).view(float)])
+def _coinflip(args: argparse.Namespace) -> dict:
+    return _emit_table(args, ["p", "entropy"],
+                       np.column_stack(info.biased_coin_curve(101)))
 
 
 def _time_grid(t_max: float) -> np.ndarray:
@@ -194,23 +184,28 @@ _RHO_COLUMNS = [
     "rho10_re", "rho10_im", "rho11_re", "rho11_im",
 ]
 
+# 1/sqrt(2) as this quotient: math.sqrt(0.5) differs in the last bit
+_HALF_ROOT = 1.0 / math.sqrt(2.0)
 
-def _rabi(args: argparse.Namespace) -> str:
+
+def _reduced_table(args: argparse.Namespace, h, amplitudes) -> dict:
+    # qubit 0 of the pure state `amplitudes` under h; one row per time: t,
+    # entropy, purity, offdiag, then the 2x2 rho_S as (re, im) pairs in
+    # row-major order, which is the complex stack read as floats
     grid = _time_grid(args.t_max)
-    rho0 = density.from_statevector(qstate.StateVector.computational([0, 1]))
-    rows = _reduced_rows(dynamics.rabi_hamiltonian(), grid, rho0, [0])
-    out = _emit_table(args, _RHO_COLUMNS, rows)
-    return _json_text(out)
+    rho0 = density.from_statevector(qstate.StateVector(h.n_qubits, amplitudes))
+    ts, rho, entropy, purity, offdiag = dynamics._reduced_stack(h, grid, rho0, [0])
+    return _emit_table(args, _RHO_COLUMNS, np.column_stack(
+        [ts, entropy, purity, offdiag, rho.reshape(len(ts), -1).view(float)]))
 
 
-def _decohere(args: argparse.Namespace) -> str:
-    grid = _time_grid(args.t_max)
-    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    amps = np.kron(np.kron(plus, [1.0, 0.0]), [0.0, 1.0]).astype(complex)
-    rho0 = density.from_statevector(qstate.StateVector(3, amps))
-    rows = _reduced_rows(dynamics.decoherence_hamiltonian(), grid, rho0, [0])
-    out = _emit_table(args, _RHO_COLUMNS, rows)
-    return _json_text(out)
+def _rabi(args: argparse.Namespace) -> dict:
+    return _reduced_table(args, dynamics.rabi_hamiltonian(), [0, 1, 0, 0])  # |01>
+
+
+def _decohere(args: argparse.Namespace) -> dict:
+    return _reduced_table(args, dynamics.decoherence_hamiltonian(),  # |+01>
+                          [0, _HALF_ROOT, 0, 0, 0, _HALF_ROOT, 0, 0])
 
 
 def _matrix_payload(m: np.ndarray) -> dict:
@@ -218,13 +213,11 @@ def _matrix_payload(m: np.ndarray) -> dict:
             "im": [[float(v.imag) for v in row] for row in m]}
 
 
-def _kraus(args: argparse.Namespace) -> str:
+def _kraus(args: argparse.Namespace) -> dict:
     h = dynamics.measurement_hamiltonian()
     ks = dynamics.kraus_extract(h, 1.0)
     p11, p12, p21, p22 = ks.p_matrices()
-    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    amps = np.kron(plus, [1.0, 0.0]).astype(complex)
-    rho0 = density.from_statevector(qstate.StateVector(2, amps))
+    rho0 = density.from_statevector(qstate.StateVector(2, [_HALF_ROOT, 0, _HALF_ROOT, 0]))
     sample = dynamics.reduced_evolution(h, [1.0], rho0, [0])[0]
     payload = {
         "t": 1.0,
@@ -234,31 +227,30 @@ def _kraus(args: argparse.Namespace) -> str:
         "entropy_bits": sample.entropy_bits,
     }
     path = _write(args, "kraus.json", _json_text(payload))
-    return _json_text({"file": path, "entropy_bits": sample.entropy_bits})
+    return {"file": path, "entropy_bits": sample.entropy_bits}
 
 
-def _chsh(args: argparse.Namespace) -> str:
+def _chsh(args: argparse.Namespace) -> dict:
     alpha = args.alpha
     alphas = [alpha] if alpha is not None else np.linspace(0.0, math.pi / 2, 101)
     rows = bell.violation_curve(alphas)
     out = _emit_table(args, ["alpha", "entropy", "violation"], rows)
     if alpha is not None:
         out["violation"] = rows[0][2]
-    return _json_text(out)
+    return out
 
 
-def _tfd(args: argparse.Namespace) -> str:
+def _tfd(args: argparse.Namespace) -> dict:
     theta = args.theta
     thetas = [theta] if theta is not None else np.linspace(0.05, 1.55, 151)
     rows = []
     for th in thetas:
         pair = oscillators.tfd_pair(float(th))
         rows.append([float(th), pair.s_exact, pair.s_approx])
-    out = _emit_table(args, ["theta", "s_exact", "s_approx"], rows)
-    return _json_text(out)
+    return _emit_table(args, ["theta", "s_exact", "s_approx"], rows)
 
 
-def _arealaw(args: argparse.Namespace) -> str:
+def _arealaw(args: argparse.Namespace) -> dict:
     curve = oscillators.area_law_scan(args.n, args.lmax)
     sidecar = {
         "N": curve.n,
@@ -270,10 +262,10 @@ def _arealaw(args: argparse.Namespace) -> str:
     }
     out = _emit_table(args, ["r", "S"], curve.samples, extra=sidecar)
     out["lambda"] = curve.fit_lambda
-    return _json_text(out)
+    return out
 
 
-def _hermite(args: argparse.Namespace) -> str:
+def _hermite(args: argparse.Namespace) -> dict:
     n_q = args.nq
     fieldinfo = lattice.digitize(n_q)
     size = 2**n_q
@@ -296,11 +288,10 @@ def _hermite(args: argparse.Namespace) -> str:
         "fidelity": [{"level": r.level, "max_error": r.max_error,
                       "infidelity": r.infidelity} for r in reports],
     }
-    out = _emit_table(args, columns, table, extra=payload)
-    return _json_text(out)
+    return _emit_table(args, columns, table, extra=payload)
 
 
-def _schwinger(args: argparse.Namespace) -> str:
+def _schwinger(args: argparse.Namespace) -> dict:
     params = lattice.SchwingerParams(x=args.x, mu=args.mu)
     series = lattice.schwinger_evolve(params, _time_grid(args.t_max))
     ground = lattice.schwinger_ground_state(params)
@@ -313,7 +304,7 @@ def _schwinger(args: argparse.Namespace) -> str:
     }
     out = _emit_table(args, ["t", "p1", "p2", "p3", "p4"], rows, extra=sidecar)
     out["ground_energy"] = ground.energy
-    return _json_text(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +388,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        sys.stdout.write(args.handler(args))
+        out = args.handler(args)  # a transcript, or the summary dict
+        sys.stdout.write(out if isinstance(out, str) else _json_text(out))
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports all
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)},

@@ -3,13 +3,12 @@ mutual information, Bloch-ball geometry."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .qstate import SimulationFault, StateVector, _bloch, _check_indices, _trace_out
+from .qstate import SimulationFault, StateVector, _bloch, _check_dim, _check_indices, _trace_out
 
 __all__ = [
     "DensityMatrix",
@@ -39,9 +38,7 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
-        n = int(round(math.log2(m.shape[0])))
-        if 2**n != m.shape[0]:
-            raise ValueError(f"dimension {m.shape[0]} is not a power of two")
+        n = _check_dim("matrix", m.shape[0], 0)
         _check_density(m)
         if check_psd and float(np.linalg.eigvalsh(m)[0]) < -_EIG_CLAMP:
             raise ValueError("matrix has an eigenvalue below -1e-10")

@@ -13,7 +13,6 @@ measurement demonstration.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,9 +130,7 @@ def from_dense(matrix) -> HamiltonianSpec:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    n = int(round(math.log2(m.shape[0])))
-    if 2**n != m.shape[0]:
-        raise ValueError("dimension must be a power of 2")
+    n = qstate._check_dim("matrix", m.shape[0], 1)
     if not np.max(np.abs(m - m.conj().T)) <= 1e-12:  # NaN fails too
         raise ValueError("matrix must be Hermitian")
     dim = m.shape[0]

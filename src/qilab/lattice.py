@@ -169,7 +169,7 @@ def sampling_grid(n_q: int):
     Symmetric half-integer grid x_j = (2j - N + 1) L / N: the odd
     eigenvalue ladder rescaled by L/N.
     """
-    size = 2**n_q
+    size = 2**_check_int("n_q", n_q, 1, 10)  # digitize's range
     length = nyquist_L(size)
     return (2.0 * np.arange(size) - size + 1) * (length / size)
 

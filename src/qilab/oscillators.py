@@ -47,8 +47,8 @@ class CouplingMatrix:
 
     def __post_init__(self) -> None:
         K = np.asarray(self.K, dtype=float)
-        if K.ndim != 2 or K.shape[0] != K.shape[1]:
-            raise ValueError("K must be square")
+        if K.ndim != 2 or K.shape[0] != K.shape[1] or K.size == 0:
+            raise ValueError(f"K must be a nonempty square matrix, got shape {K.shape}")
         if not np.isfinite(K).all():
             raise ValueError("K must be finite")
         if np.max(np.abs(K - K.T)) > 1e-12:

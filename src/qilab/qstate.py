@@ -171,17 +171,17 @@ class StateVector:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("need at least one qubit")
+        n = _check_int("n_qubits", self.n_qubits, 1)
         a = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
-        if a.size != 2**self.n_qubits:
-            raise ValueError(f"expected {2**self.n_qubits} amplitudes, got {a.size}")
-        n = float(np.linalg.norm(a))
-        if not abs(n - 1.0) <= 1e-9:  # NaN fails the test too
+        if a.size != 2**n:
+            raise ValueError(f"expected {2**n} amplitudes, got {a.size}")
+        norm = float(np.linalg.norm(a))
+        if not abs(norm - 1.0) <= 1e-9:  # NaN fails the test too
             if not np.isfinite(a).all():
                 raise ValueError("state has a non-finite amplitude")
-            raise ValueError(f"state not normalized: |psi| = {n}")
+            raise ValueError(f"state not normalized: |psi| = {norm}")
         a.setflags(write=False)
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "amplitudes", a)
 
     @classmethod
@@ -222,6 +222,13 @@ def _check_int(name: str, value, lo: int, hi: Optional[int] = None) -> int:
         rule = f">= {lo}" if hi is None else f"in {lo}..{hi}"
         raise ValueError(f"{name} must be an integer {rule}, got {value!r}")
     return int(value)
+
+
+def _check_dim(name: str, dim: int, lo: int) -> int:
+    """The qubit count n of a dim x dim matrix `name`: dim = 2^n, n >= lo."""
+    if not (dim >= 2**lo and dim & (dim - 1) == 0):
+        raise ValueError(f"{name} must be 2^n x 2^n with n >= {lo}, got {dim} x {dim}")
+    return dim.bit_length() - 1
 
 
 def _check_finite(name: str, value):
@@ -607,7 +614,8 @@ def run_circuit(circuit: Circuit, shots: int, seed: int) -> ExperimentRecord:
             out[k][idx] = registers[k]
 
     _run_shots(circuit, shots, _rng(seed), emit)
-    return ExperimentRecord(shots, seed, circuit.digest(),
+    # _rng has checked the seed; the record keeps it as a plain int
+    return ExperimentRecord(shots, int(seed), circuit.digest(),
                             {k: v.tolist() for k, v in out.items()})
 
 

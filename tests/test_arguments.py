@@ -74,3 +74,22 @@ _ARGUMENTS = [
 def test_bad_arguments_are_rejected_by_name(name, call, value):
     with pytest.raises(ValueError, match=rf"^{name} must be"):
         call(value)
+
+
+# (case, argument name as the message gives it, call) for array arguments
+# whose shape no qubit count or coupling matrix fits
+_SHAPES = [
+    ("DensityMatrix-0x0", "matrix", lambda: density.DensityMatrix(np.zeros((0, 0)))),
+    ("from_dense-0x0", "matrix", lambda: dynamics.from_dense(np.zeros((0, 0)))),
+    ("from_dense-1x1", "matrix", lambda: dynamics.from_dense(np.ones((1, 1)))),
+    ("CouplingMatrix-0x0", "K", lambda: osc.CouplingMatrix(np.zeros((0, 0)))),
+    ("StateVector-True", "n_qubits", lambda: qstate.StateVector(True, [1, 0])),
+    ("StateVector-2.5", "n_qubits", lambda: qstate.StateVector(2.5, [1, 0])),
+]
+
+
+@pytest.mark.parametrize("name, call", [
+    pytest.param(name, call, id=case) for case, name, call in _SHAPES])
+def test_bad_shapes_are_rejected_by_name(name, call):
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        call()

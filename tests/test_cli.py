@@ -390,3 +390,31 @@ def test_rabi_and_decohere_tables_are_the_sample_route_bit_for_bit(tmp_path, t_m
         want = _sample_route_csv(h, default if t_max is None else float(t_max),
                                  density.from_statevector(psi0))
         assert (tmp_path / f"{sub}.csv").read_text() == want
+
+
+def test_kraus_entropy_comes_from_the_kron_chain_state(tmp_path):
+    # the |+0> amplitudes are the ones np.kron formed, bit for bit
+    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    psi0 = qstate.StateVector(2, np.kron(plus, [1.0, 0.0]).astype(complex))
+    want = dynamics.reduced_evolution(dynamics.measurement_hamiltonian(), [1.0],
+                                      density.from_statevector(psi0), [0])[0]
+    _run(tmp_path, "kraus")
+    payload = json.loads((tmp_path / "kraus.json").read_text())
+    assert payload["entropy_bits"] == want.entropy_bits
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["chsh", "--alpha", "0.3"], dict), (["schwinger"], dict),
+    (["kraus"], dict), (["experiment3"], str)])
+def test_handlers_return_their_data_and_main_prints_it(tmp_path, capsys, argv, kind):
+    argv = argv + ["--out", str(tmp_path)]
+    args = cli._build_parser().parse_args(argv)
+    returned = args.handler(args)
+    assert isinstance(returned, kind)
+    assert capsys.readouterr().out == ""  # a handler prints nothing itself
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    if kind is str:
+        assert printed == returned
+    else:
+        assert printed == json.dumps(returned, sort_keys=True, indent=2) + "\n"

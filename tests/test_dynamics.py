@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qilab import density, dynamics, qstate
+from qilab import density, dynamics, lattice, qstate
 
 _I2 = np.eye(2, dtype=complex)
 _SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -479,3 +479,18 @@ def test_evolution_reuses_the_kept_matrix(monkeypatch):
     dynamics.propagator(h, 0.7)
     dynamics.reduced_evolution(h, [0.0, 0.7], rho0, [0])
     dynamics.kraus_extract(h, 0.7)
+
+
+def test_schwinger_evolve_from_a_given_initial_state():
+    p = lattice.SchwingerParams(x=0.5, mu=0.1)
+    ts = [0.0, 0.4, 1.7, 6.0]
+    psi0 = np.array([0.5, 0.5j, -0.5, 0.5])  # normalized, not the default |s1>
+    series = lattice.schwinger_evolve(p, ts, initial=psi0)
+    h4 = lattice.schwinger_h4(p)
+    for t, probs in zip(ts, series.probabilities):
+        want = np.abs(_expm_oracle(-1j * h4 * t) @ psi0) ** 2
+        assert np.max(np.abs(probs - want)) <= 1e-12
+    with pytest.raises(ValueError, match="state not normalized"):
+        lattice.schwinger_evolve(p, ts, initial=[1, 1, 0, 0])
+    with pytest.raises(ValueError, match="non-finite amplitude"):
+        lattice.schwinger_evolve(p, ts, initial=[math.nan, 0, 0, 0])

@@ -345,3 +345,9 @@ def test_projection_matches_the_per_state_route():
 def test_hermite_eigenfunction_names_a_bad_level(n):
     with pytest.raises(ValueError, match="level must be an integer in 0..60"):
         lattice.hermite_eigenfunction(n, 0.3)
+
+
+@pytest.mark.parametrize("n_q", [2.5, True, 0, 11])
+def test_sampling_grid_names_a_bad_n_q(n_q):
+    with pytest.raises(ValueError, match=r"^n_q must be an integer in 1\.\.10"):
+        lattice.sampling_grid(n_q)

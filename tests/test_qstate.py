@@ -508,3 +508,13 @@ def test_fixed_gates_are_built_once_and_shared():
     assert qstate.standard_gate("CX").matrix.tobytes() == qstate.standard_gate("CNOT").matrix.tobytes()
     # parametric gates are built per call
     assert qstate.standard_gate("XPow", 0.5) is not qstate.standard_gate("XPow", 0.5)
+
+
+def test_numpy_integer_seed_gives_the_plain_int_record():
+    got = qstate.run_circuit(qstate.flip_circuit(), 2, np.int64(3))
+    assert type(got.seed) is int
+    assert got.to_json() == qstate.run_circuit(qstate.flip_circuit(), 2, 3).to_json()
+
+
+def test_state_vector_keeps_its_qubit_count_as_an_int():
+    assert type(qstate.StateVector(np.int64(1), [1, 0]).n_qubits) is int
