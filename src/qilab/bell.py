@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qstate
+from . import density, qstate
 from .qstate import StateVector, apply_gate, standard_gate
 
 __all__ = [
@@ -85,10 +85,7 @@ def entangled_state(alpha: float) -> StateVector:
     """Two-qubit state cos(alpha)|00> + sin(alpha)|11>."""
     if not 0.0 <= alpha <= math.pi / 2:
         raise ValueError(f"alpha must lie in [0, pi/2], got {alpha}")
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = math.cos(alpha)
-    amps[3] = math.sin(alpha)
-    return StateVector(2, amps)
+    return StateVector(2, [math.cos(alpha), 0.0, 0.0, math.sin(alpha)])
 
 
 def chsh_expectations(settings: ChshSettings) -> ChshResult:
@@ -176,7 +173,7 @@ def sampled_chsh(settings: ChshSettings, shots: int, seed: int) -> SampledChshRe
     then one uniform per shot in shot order (rng.random(shots)) that
     draws the shot's outcome as qstate.measure would.
     """
-    shots = qstate._check_int("shots", shots, 1)
+    shots = qstate._check_int("shots", shots, 1, qstate._MAX_SHOTS)
     rng = qstate._rng(seed)
     base = entangled_state(settings.alpha)
     gammas_a = (0.0, math.pi / 2)            # Q, R
@@ -220,13 +217,11 @@ def violation_curve(alphas) -> list:
     Entropy is computed through the density-matrix path on the prepared
     states, not from the closed form, so the curve exercises the full
     simulation pipeline: every alpha's projector is held in one (A, 4, 4)
-    stack, checked as DensityMatrix checks one matrix, traced down to
-    qubit 0 and diagonalised by one batched eigvalsh.  Each row is the
-    same, bit for bit, as the per-state route through from_statevector,
-    partial_trace and von_neumann_entropy.
+    stack, which density._reduce checks as DensityMatrix checks one
+    matrix, traces down to qubit 0 and diagonalises by one eigvalsh.
+    Each row is the same, bit for bit, as the per-state route through
+    from_statevector, partial_trace and von_neumann_entropy.
     """
-    from . import density
-
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1:
         raise ValueError(f"alphas must be a one-dimensional sequence of angles, "
@@ -234,9 +229,6 @@ def violation_curve(alphas) -> list:
     alphas = alphas.tolist()
     amps = np.array([entangled_state(a).amplitudes for a in alphas],
                     dtype=complex).reshape(len(alphas), 4)
-    rho = amps[:, :, None] * amps.conj()[:, None, :]
-    density._check_density(rho)
-    reduced = qstate._trace_out(rho, [0])
-    entropy = density.entropy_bits(density._clamped_eigenvalues(reduced))
+    _, entropy = density._reduce(amps[:, :, None] * amps.conj()[:, None, :], [0])
     return [(a, s, optimal_settings(a)[1] - 2.0)
             for a, s in zip(alphas, entropy.tolist())]

@@ -36,9 +36,7 @@ class DensityMatrix:
 
     def __post_init__(self, check_psd: bool):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("density matrix must be square")
-        n = _check_dim("matrix", m.shape[0], 0)
+        n = _check_dim("matrix", m, 0)
         _check_density(m)
         if check_psd and float(np.linalg.eigvalsh(m)[0]) < -_EIG_CLAMP:
             raise ValueError("matrix has an eigenvalue below -1e-10")
@@ -52,9 +50,12 @@ def _check_density(m: np.ndarray) -> None:
     """DensityMatrix's rules for each matrix of a stack m (shape
     (..., d, d)): finite, Hermitian within 1e-12, unit trace.  A broken
     rule raises DensityMatrix's ValueError, naming the first bad trace."""
-    # a NaN or inf entry leaves a NaN or inf residual, so this one test
-    # catches it too; isfinite only picks the message
-    if not np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0) <= _HERM_ATOL:
+    # a NaN or inf entry leaves a NaN or inf residual (inf - inf is NaN,
+    # so numpy's warning is silenced), and this one test catches it too;
+    # isfinite only picks the message
+    with np.errstate(invalid="ignore"):
+        residual = np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0)
+    if not residual <= _HERM_ATOL:
         if not np.isfinite(m).all():
             raise ValueError("density matrix has a non-finite entry")
         raise ValueError("matrix is not Hermitian within 1e-12")
@@ -65,21 +66,18 @@ def _check_density(m: np.ndarray) -> None:
 
 
 def _density_stack(m: np.ndarray) -> list:
-    """One DensityMatrix per matrix of a (T, 2^n, 2^n) stack, held to
-    DensityMatrix's rules (as check_psd=False) by one _check_density of
-    the whole stack instead of one per matrix.  The samples are read-only
-    views of one private copy of the stack."""
-    _check_density(m)
-    m = np.array(m, dtype=complex)
-    m.setflags(write=False)
-    n = m.shape[-1].bit_length() - 1
-    out = []
-    for matrix in m:
-        rho = object.__new__(DensityMatrix)
-        object.__setattr__(rho, "matrix", matrix)
-        object.__setattr__(rho, "n_qubits", n)
-        out.append(rho)
-    return out
+    """One DensityMatrix (check_psd=False) per matrix of a (T, 2^n, 2^n) stack."""
+    return [DensityMatrix(matrix, check_psd=False) for matrix in m]
+
+
+def _reduce(stack: np.ndarray, keep: Sequence[int]) -> tuple:
+    """Trace each matrix of a stack (shape (..., d, d)) down to the qubits
+    `keep` (sorted, distinct), both stacks held to DensityMatrix's rules:
+    (reduced stack, entropy in bits of each reduced matrix)."""
+    _check_density(stack)
+    reduced = _trace_out(stack, keep)
+    _check_density(reduced)
+    return reduced, entropy_bits(_clamped_eigenvalues(reduced))
 
 
 def from_statevector(state: StateVector) -> DensityMatrix:

@@ -128,9 +128,7 @@ def from_dense(matrix) -> HamiltonianSpec:
     1e-12 are dropped.  The result round-trips through dense().
     """
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    n = qstate._check_dim("matrix", m.shape[0], 1)
+    n = qstate._check_dim("matrix", m, 1)
     if not np.max(np.abs(m - m.conj().T)) <= 1e-12:  # NaN fails too
         raise ValueError("matrix must be Hermitian")
     dim = m.shape[0]
@@ -189,9 +187,8 @@ def reduced_evolution(h: HamiltonianSpec, t_grid, rho_se0: DensityMatrix, keep) 
     the system qubit indices.  Each sample carries rho_S(t) as a
     DensityMatrix, its entropy in bits, its purity, and its largest
     off-diagonal magnitude.  The samples wrap the arrays of
-    _reduced_stack: each sample's DensityMatrix is a read-only view of
-    the reduced stack, which is checked as a whole, not per sample.  A
-    sample is the same, bit for bit, whatever grid it comes in.
+    _reduced_stack, each reduced matrix built into its own DensityMatrix.
+    A sample is the same, bit for bit, whatever grid it comes in.
     """
     ts, rho_s, entropy, purity, offdiag = _reduced_stack(h, t_grid, rho_se0, keep)
     return [ReducedSample(t, rho, e, p, o) for t, rho, e, p, o in zip(
@@ -215,11 +212,7 @@ def _reduced_stack(h: HamiltonianSpec, t_grid, rho_se0: DensityMatrix, keep):
     evals, vecs = np.linalg.eigh(dense(h))
     rho0 = vecs.conj().T @ rho_se0.matrix @ vecs
     u = vecs * np.exp(-1j * evals * ts[:, None])[:, None, :]
-    rho_t = u @ rho0 @ u.conj().swapaxes(-1, -2)
-    density._check_density(rho_t)
-    rho_s = qstate._trace_out(rho_t, keep)
-    entropy = density.entropy_bits(density._clamped_eigenvalues(rho_s))
-    density._check_density(rho_s)
+    rho_s, entropy = density._reduce(u @ rho0 @ u.conj().swapaxes(-1, -2), keep)
     purity = density._purities(rho_s)
     off = np.abs(rho_s)
     diag = np.arange(rho_s.shape[-1])

@@ -279,14 +279,10 @@ def schwinger_evolve(params: SchwingerParams, t_grid, initial=None) -> Evolution
     """p_i(t) = |<s_i| exp(-i H4 t) |initial>|^2 via the eigen propagator;
     initial (|s1> when omitted) is held to StateVector's rules."""
     t = _check_times(t_grid)
-    if initial is None:
-        psi0 = np.zeros(4, dtype=complex)
-        psi0[0] = 1.0
-    else:
-        psi0 = np.asarray(initial, dtype=complex)
-        if psi0.shape != (4,):
-            raise ValueError("initial state must be a 4-vector")
-        psi0 = StateVector(2, psi0).amplitudes
+    psi0 = np.asarray([1, 0, 0, 0] if initial is None else initial, dtype=complex)
+    if psi0.shape != (4,):
+        raise ValueError("initial state must be a 4-vector")
+    psi0 = StateVector(2, psi0).amplitudes
     evals, vecs = np.linalg.eigh(schwinger_h4(params))
     coeffs = vecs.conj().T @ psi0
     phases = np.exp(-1j * np.outer(t, evals))

@@ -43,6 +43,10 @@ __all__ = [
 
 _ATOL_UNITARY = 1e-12
 _MIN_BRANCH_PROB = 1e-15
+# Limits that stop a run at the boundary instead of in a MemoryError: a
+# 24-qubit state is 256 MiB, and a run holds 30-70 bytes per shot.
+_MAX_QUBITS = 24
+_MAX_SHOTS = 10**7
 
 
 class SimulationFault(RuntimeError):
@@ -186,16 +190,15 @@ class StateVector:
 
     @classmethod
     def zeros(cls, n_qubits: int) -> "StateVector":
-        a = np.zeros(2**n_qubits, dtype=complex)
-        a[0] = 1.0
-        return cls(n_qubits, a)
+        return cls.computational([0] * _check_int("n_qubits", n_qubits, 1, _MAX_QUBITS))
 
     @classmethod
     def computational(cls, bits: Sequence[int]) -> "StateVector":
-        n = len(bits)
+        """The basis state |bits>: 1 to _MAX_QUBITS bits, each 0 or 1."""
+        n = _check_int("n_qubits", len(bits), 1, _MAX_QUBITS)
         idx = 0
         for b in bits:
-            idx = idx * 2 + int(b)
+            idx = idx * 2 + _check_int("bit", b, 0, 1)
         a = np.zeros(2**n, dtype=complex)
         a[idx] = 1.0
         return cls(n, a)
@@ -224,10 +227,12 @@ def _check_int(name: str, value, lo: int, hi: Optional[int] = None) -> int:
     return int(value)
 
 
-def _check_dim(name: str, dim: int, lo: int) -> int:
-    """The qubit count n of a dim x dim matrix `name`: dim = 2^n, n >= lo."""
-    if not (dim >= 2**lo and dim & (dim - 1) == 0):
-        raise ValueError(f"{name} must be 2^n x 2^n with n >= {lo}, got {dim} x {dim}")
+def _check_dim(name: str, m: np.ndarray, lo: int) -> int:
+    """The qubit count n of the matrix `name`: square, 2^n x 2^n, n >= lo."""
+    dim = m.shape[0] if m.ndim == 2 else 0
+    if not (m.shape == (dim, dim) and dim >= 2**lo and dim & (dim - 1) == 0):
+        got = " x ".join(map(str, m.shape)) or "a scalar"
+        raise ValueError(f"{name} must be 2^n x 2^n with n >= {lo}, got {got}")
     return dim.bit_length() - 1
 
 
@@ -277,6 +282,14 @@ def _check_qubits(qubits: Sequence[int], n: int, what: str) -> tuple:
     return qubits
 
 
+def _check_targets(gate: Gate, targets: Sequence[int], n: int) -> tuple:
+    """`targets` as checked by _check_qubits, one per qubit of `gate`."""
+    targets = _check_qubits(targets, n, "target qubit")
+    if len(targets) != gate.arity:
+        raise ValueError(f"gate {gate.name} wants {gate.arity} targets, got {len(targets)}")
+    return targets
+
+
 def apply_gate(state: StateVector, gate: Gate, targets: Sequence[int]) -> StateVector:
     """Apply a gate to the listed target qubits.
 
@@ -284,9 +297,7 @@ def apply_gate(state: StateVector, gate: Gate, targets: Sequence[int]) -> StateV
     gate's own basis index (the control for CNOT/CY/CZ).
     """
     n = state.n_qubits
-    targets = _check_qubits(targets, n, "target qubit")
-    if len(targets) != gate.arity:
-        raise ValueError(f"gate {gate.name} wants {gate.arity} targets, got {len(targets)}")
+    targets = _check_targets(gate, targets, n)
     u = gate.matrix.reshape([2] * (2 * gate.arity))
     new = _apply_local(u, state.amplitudes.reshape([2] * n), targets)
     return StateVector(n, new.reshape(-1))
@@ -463,9 +474,7 @@ class Circuit:
     def add_gate(self, name: str, targets: Sequence[int], params: Iterable[float] = (),
                  condition: Optional[tuple] = None) -> "Circuit":
         gate = standard_gate(name, *params)
-        targets = _check_qubits(targets, self.n_qubits, "target qubit")
-        if len(targets) != gate.arity:
-            raise ValueError(f"gate {name} wants {gate.arity} targets, got {len(targets)}")
+        targets = _check_targets(gate, targets, self.n_qubits)
         if condition is not None:
             reg, val = condition
             if reg not in self._registers:
@@ -605,7 +614,7 @@ def run_circuit(circuit: Circuit, shots: int, seed: int) -> ExperimentRecord:
     `execute` calls on one generator.  A circuit without measurements
     draws nothing.
     """
-    shots = _check_int("shots", shots, 1)
+    shots = _check_int("shots", shots, 1, _MAX_SHOTS)
     names = list(circuit.register_widths())
     out = {k: np.empty(shots, dtype=object) for k in names}
 

@@ -8,6 +8,7 @@ refuse a NaN or infinite time.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,15 @@ _SHAPES = [
     ("CouplingMatrix-0x0", "K", lambda: osc.CouplingMatrix(np.zeros((0, 0)))),
     ("StateVector-True", "n_qubits", lambda: qstate.StateVector(True, [1, 0])),
     ("StateVector-2.5", "n_qubits", lambda: qstate.StateVector(2.5, [1, 0])),
+    ("DensityMatrix-2x3", "matrix", lambda: density.DensityMatrix(np.ones((2, 3)) / 2)),
+    ("from_dense-2x3", "matrix", lambda: dynamics.from_dense(np.ones((2, 3)))),
+    ("DensityMatrix-scalar", "matrix", lambda: density.DensityMatrix(1.0)),
+    ("computational-2", "bit", lambda: qstate.StateVector.computational([0, 2])),
+    ("computational--1", "bit", lambda: qstate.StateVector.computational([1, -1])),
+    ("computational-0.5", "bit", lambda: qstate.StateVector.computational([0.5])),
+    ("computational-True", "bit", lambda: qstate.StateVector.computational([True])),
+    ("computational-empty", "n_qubits", lambda: qstate.StateVector.computational([])),
+    ("zeros-2.5", "n_qubits", lambda: qstate.StateVector.zeros(2.5)),
 ]
 
 
@@ -93,3 +103,27 @@ _SHAPES = [
 def test_bad_shapes_are_rejected_by_name(name, call):
     with pytest.raises(ValueError, match=rf"^{name} must be"):
         call()
+
+
+# (case, argument name, call) one past each size limit; each must be
+# refused before anything of that size is allocated
+_LIMITS = [
+    ("zeros", "n_qubits", lambda: qstate.StateVector.zeros(qstate._MAX_QUBITS + 1)),
+    ("computational", "n_qubits",
+     lambda: qstate.StateVector.computational([0] * (qstate._MAX_QUBITS + 1))),
+    ("run_circuit", "shots", lambda: qstate.run_circuit(_FLIP, qstate._MAX_SHOTS + 1, 1)),
+    ("sampled_chsh", "shots", lambda: bell.sampled_chsh(_SETTINGS, qstate._MAX_SHOTS + 1, 1)),
+]
+
+
+@pytest.mark.parametrize("name, call", [
+    pytest.param(name, call, id=case) for case, name, call in _LIMITS])
+def test_size_limits_are_checked_before_allocating(name, call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer in 1\.\.\d+, got"):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -254,6 +254,7 @@ _BAD_VALUES = [
     (["schwinger", "--t-max", "0"], "t_max"),
     (["rabi", "--t-max", "nan"], "t_max"),
     (["schwinger", "--t-max", "inf"], "t_max"),
+    (["experiment1", "--shots", "100000000000"], "shots must be an integer in 1.."),
 ]
 
 

@@ -71,6 +71,15 @@ def test_density_matrix_rejects_non_finite_entries(entry, check_psd):
             density.DensityMatrix(m, check_psd=check_psd)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("check_psd", [True, False], ids=["psd", "no-psd"])
+@pytest.mark.parametrize("entry", [np.inf, -np.inf], ids=["inf", "-inf"])
+def test_infinite_entries_are_rejected_without_a_warning(entry, check_psd):
+    for m in (np.full((2, 2), entry), np.array([[0.5, entry], [entry, 0.5]])):
+        with pytest.raises(ValueError, match="non-finite entry"):
+            density.DensityMatrix(m, check_psd=check_psd)
+
+
 def test_partial_trace_matches_projector_oracle():
     rng = _rng(2)
     for n in (2, 3, 4):

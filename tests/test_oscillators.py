@@ -416,3 +416,22 @@ def test_corner_sizes_reject_a_nan_bound():
     diag[1, 2, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite symplectic value"):
         osc._corner_sizes(diag, np.full((2, 3), 1e-3))
+
+
+def test_accumulate_stops_only_when_the_tail_is_strictly_below():
+    # at l = 2 the remainder 0.5 * 0.5 / 0.5 equals _TAIL * 500.0 exactly,
+    # which does not stop the sum; at l = 3 it is below and does
+    S, last, l_stop, stopped = osc._accumulate(
+        np.array([499.5]), np.array([1.0]), np.array([2, 3]), np.array([[0.5, 0.25]]))
+    assert osc._TAIL * 500.0 == 0.5
+    assert S.tolist() == [500.25] and last.tolist() == [0.25]
+    assert l_stop.tolist() == [3] and stopped.tolist() == [True]
+
+
+def test_accumulate_never_stops_before_l_2():
+    # the tail after l = 1 is already negligible, but l = 2 is the first
+    # l a sum may stop at
+    S, last, l_stop, stopped = osc._accumulate(
+        np.zeros(1), np.zeros(1), np.arange(4), np.array([[1.0, 1e-9, 1e-10, 1e-11]]))
+    assert l_stop.tolist() == [2] and stopped.tolist() == [True]
+    assert S.tolist() == [1.0 + 1e-9 + 1e-10] and last.tolist() == [1e-10]
