@@ -419,3 +419,12 @@ def test_handlers_return_their_data_and_main_prints_it(tmp_path, capsys, argv, k
         assert printed == returned
     else:
         assert printed == json.dumps(returned, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0])
+def test_chsh_alpha_summary_reports_the_violation(tmp_path, capsys, alpha):
+    # the summary's violation is 2 sqrt(1 + sin^2 2a) - 2 for --alpha a
+    assert cli.main(["chsh", "--alpha", repr(alpha), "--out", str(tmp_path)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    want = 2.0 * math.sqrt(1.0 + math.sin(2.0 * alpha) ** 2) - 2.0
+    assert summary["violation"] == pytest.approx(want, abs=1e-12)

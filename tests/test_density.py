@@ -239,3 +239,11 @@ def test_bloch_routes_share_one_radius_bound():
                   lambda: density.bloch_ball_analysis(far)):
         with pytest.raises(ValueError, match="outside the ball"):
             route()
+
+
+def test_mutual_information_of_a_product_with_unequal_entropies():
+    # |0><0| (x) I/2: S_A = 0 and S_B = 1 differ, so a B that repeated A
+    # would give -1 or 1 instead of 0
+    rho = density.DensityMatrix(np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2))
+    assert density.mutual_information(rho, [0]) == pytest.approx(0.0, abs=1e-12)
+    assert density.mutual_information(rho, [1]) == pytest.approx(0.0, abs=1e-12)

@@ -494,3 +494,16 @@ def test_schwinger_evolve_from_a_given_initial_state():
         lattice.schwinger_evolve(p, ts, initial=[1, 1, 0, 0])
     with pytest.raises(ValueError, match="non-finite amplitude"):
         lattice.schwinger_evolve(p, ts, initial=[math.nan, 0, 0, 0])
+
+
+def test_swap_demo_correlation_of_varying_registers():
+    # at t = 0.5 both registers vary, so the correlation is the sample
+    # Pearson coefficient, not the constant-register 0.0
+    rec, corr = dynamics.swap_measurement_demo(0.5, 200, 11)
+    q0, q1 = (np.array([int(b) for b in rec.registers[k]], dtype=float)
+              for k in ("q0", "q1"))
+    assert 0.0 < q0.mean() < 1.0 and 0.0 < q1.mean() < 1.0
+    d0, d1 = q0 - q0.mean(), q1 - q1.mean()
+    want = float(d0 @ d1 / math.sqrt((d0 @ d0) * (d1 @ d1)))
+    assert want != 0.0
+    assert corr == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -1,6 +1,8 @@
 """Oscillator-chain tests: thermal entropy, two-mode pairs, area law."""
 
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -435,3 +437,74 @@ def test_accumulate_never_stops_before_l_2():
         np.zeros(1), np.zeros(1), np.arange(4), np.array([[1.0, 1e-9, 1e-10, 1e-11]]))
     assert l_stop.tolist() == [2] and stopped.tolist() == [True]
     assert S.tolist() == [1.0 + 1e-9 + 1e-10] and last.tolist() == [1e-10]
+
+
+@pytest.mark.parametrize("N, l_max", [(12, 150), (10, 16), (10, 17), (20, 33), (60, 300)])
+def test_stacks_two_at_a_time_equal_one_stack_at_a_time(N, l_max):
+    # area_law_scan computes the second stack of each round on a helper
+    # thread for the radii active at the start of the round.  At (12, 150)
+    # and (60, 300) radii stop inside a round's first stack, so the
+    # helper's rows for them must be dropped; (10, 16), (10, 17) and
+    # (20, 33) end on a helper stack of one or two l, or on a round with
+    # no helper stack
+    got = osc.area_law_scan(N, l_max)
+    want = _area_law_scan_loop(N, l_max)
+    for name in ("samples", "l_stop", "capped", "corner_bound", "fit_lambda"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got == want
+    stack = osc._L_STACK
+    first_stack_stops = [
+        l for l, capped in zip(got.l_stop, got.capped)
+        if l is not None and not capped and l // stack % 2 == 0
+        and (l // stack + 1) * stack <= l_max]
+    assert bool(first_stack_stops) == (l_max >= 150)
+
+
+def _failing_shell_terms(monkeypatch, l0):
+    # _shell_terms, raising on the stack that starts at l0; records each
+    # (thread, exception) it raised
+    shell_terms = osc._shell_terms
+    raised = []
+
+    def fail_at_l0(ls, N, j_maxes):
+        if ls[0] == l0:
+            raised.append((threading.current_thread(), ValueError(f"stack {l0}")))
+            raise raised[-1][1]
+        return shell_terms(ls, N, j_maxes)
+
+    monkeypatch.setattr(osc, "_shell_terms", fail_at_l0)
+    return raised
+
+
+def test_the_helpers_exception_comes_out_of_the_scan(monkeypatch):
+    raised = _failing_shell_terms(monkeypatch, osc._L_STACK)
+    with pytest.raises(ValueError) as info:
+        osc.area_law_scan(12, 40)
+    [(thread, exc)] = raised
+    assert thread is not threading.current_thread()
+    assert info.value is exc
+
+
+def test_area_law_scan_leaves_no_thread_behind(monkeypatch):
+    before = threading.active_count()
+    osc.area_law_scan(12, 40)
+    assert threading.active_count() == before
+    # the calling thread's stack fails while the helper still runs
+    raised = _failing_shell_terms(monkeypatch, 0)
+    with pytest.raises(ValueError, match="^stack 0$"):
+        osc.area_law_scan(60, 40)
+    assert [thread for thread, _ in raised] == [threading.current_thread()]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("name, args", [
+    ("N", (osc._MAX_SCAN_N + 1, 20)), ("l_max", (12, osc._MAX_SCAN_L + 1))])
+def test_area_law_scan_limits_are_checked_before_allocating(name, args):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer in \d+\.\.\d+, got"):
+            osc.area_law_scan(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
