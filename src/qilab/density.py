@@ -168,7 +168,7 @@ def bloch_ball_analysis(rho: DensityMatrix):
     v = _bloch(m)
     r = v.r
     det = float(np.linalg.det(m).real)
-    if abs(det - (1 - r * r) / 4.0) > 1e-12:
+    if not abs(det - (1 - r * r) / 4.0) <= 1e-12:
         raise SimulationFault("det(rho) != (1-r^2)/4; inconsistent state")
     p = np.array([(1 + r) / 2.0, (1 - r) / 2.0])
     s = entropy_bits(p)

@@ -20,7 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import PAULI, StateVector, _apply_local, _check_finite, _check_int, _check_times
+from .qstate import (PAULI, StateVector, _apply_local, _check_finite, _check_int, _check_times,
+                     _pauli_sums)
 
 __all__ = [
     "PauliDecomposition",
@@ -58,45 +59,20 @@ class PauliDecomposition:
 
     def diagonal(self) -> list:
         """Eigenvalue ladder reconstructed with integer arithmetic."""
-        n = self.n_qubits()
-        diag = [0] * (2**n)
+        coeffs = [0] * 2**self.n_qubits()
         for coeff, factors in self.terms:
-            mask = 0
-            for q, f in enumerate(factors):
-                if f == "z":
-                    mask |= 1 << (n - 1 - q)
-            for k in range(2**n):
-                sign = -1 if bin(k & mask).count("1") % 2 else 1
-                diag[k] += coeff * sign
-        return diag
+            coeffs[int("".join("1" if f == "z" else "0" for f in factors), 2)] += coeff
+        return _pauli_sums(np.array(coeffs, dtype=object)).tolist()
 
 
 def _walsh_decompose(values) -> PauliDecomposition:
-    # Exact integer Walsh-Hadamard transform of a diagonal: the
-    # coefficient of the z-string with support mask s is
-    # (1/N) sum_k values[k] (-1)^{popcount(k & s)}.
-    vals = [int(v) for v in values]
-    size = len(vals)
-    n = size.bit_length() - 1
-    coeffs = list(vals)
-    h = 1
-    while h < size:
-        for i in range(0, size, 2 * h):
-            for j in range(i, i + h):
-                a, b = coeffs[j], coeffs[j + h]
-                coeffs[j], coeffs[j + h] = a + b, a - b
-        h *= 2
-    terms = []
-    for mask in range(size):
-        if coeffs[mask] == 0:
-            continue
-        if coeffs[mask] % size != 0:
-            raise ArithmeticError("ladder is not an integer sigma-z combination")
-        factors = tuple(
-            "z" if mask & (1 << (n - 1 - q)) else "1" for q in range(n)
-        )
-        terms.append((coeffs[mask] // size, factors))
-    return PauliDecomposition(tuple(terms))
+    # The sigma-z strings of a diagonal in exact integers: the coefficient
+    # of a string is (1/N) sum_k values[k] (-1)^{popcount(k & support)}.
+    sums = _pauli_sums(np.array([int(v) for v in values], dtype=object)).tolist()
+    if any(s % len(sums) for s in sums):
+        raise ArithmeticError("ladder is not an integer sigma-z combination")
+    strings = itertools.product("1z", repeat=len(sums).bit_length() - 1)
+    return PauliDecomposition(tuple((s // len(sums), f) for s, f in zip(sums, strings) if s))
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ class CouplingMatrix:
             raise ValueError(f"K must be a nonempty square matrix, got shape {K.shape}")
         if not np.isfinite(K).all():
             raise ValueError("K must be finite")
-        if np.max(np.abs(K - K.T)) > 1e-12:
+        if not np.max(np.abs(K - K.T)) <= 1e-12:
             raise ValueError("K must be symmetric within 1e-12")
         if np.linalg.eigvalsh(K)[0] <= 0.0:
             raise ValueError("K must be positive-definite")
@@ -86,7 +86,7 @@ def thermal_entropy(beta_omega: float) -> float:
     c = 0.5 / math.tanh(bw / 2.0)
     lo = c - 0.5
     c_form = (c + 0.5) * math.log(c + 0.5) - lo * math.log(lo) if lo > 0.0 else 0.0
-    if abs(boltzmann - c_form) > 1e-10:
+    if not abs(boltzmann - c_form) <= 1e-10:
         raise ArithmeticError(
             f"closed forms disagree at beta*omega={bw}: {boltzmann} vs {c_form}")
     return c_form
@@ -200,17 +200,17 @@ def _c_form(delta: np.ndarray) -> np.ndarray:
     # from delta, not c, so a tiny c - 1/2 keeps its digits.  c within
     # 1e-9 of 1/2 contributes 0; smaller c signals a matrix-function
     # error.  As a function of delta it is increasing and concave, and 0
-    # at delta = 0.  A NaN or infinite delta is a ValueError: NaN would
-    # pass both guards below and be masked as dead.
+    # at delta = 0.  A NaN or infinite delta is a ValueError; NaN fails
+    # both guards below too, so this check only picks the message.
     if not np.isfinite(delta).all():
         bad = delta[~np.isfinite(delta)][0]
         raise ValueError(f"non-finite symplectic value c^2 - 1/4 = {bad}")
     mu = delta + 0.25
-    if mu.min() < -1e-9:
+    if not mu.min() >= -1e-9:
         raise ValueError(f"negative symplectic spectrum {mu.min()} beyond tolerance")
     c = np.sqrt(np.maximum(mu, 0.0, out=mu), out=mu)
     lo = delta / (c + 0.5)
-    if lo.min() < -1e-9:
+    if not lo.min() >= -1e-9:
         raise ValueError(f"symplectic eigenvalue {c.min()} below 1/2 beyond tolerance")
     del c, mu  # in-place steps below: the scan calls this on large stacks
     dead = ~(lo > 0.0)

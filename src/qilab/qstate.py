@@ -91,6 +91,26 @@ def _controlled(u: np.ndarray) -> np.ndarray:
     return m
 
 
+def _pauli_sums(m: np.ndarray) -> np.ndarray:
+    """tr(P M) for every n-qubit Pauli string P, qubit 0 most significant, one
+    qubit per step (Hantzko, Binkowski & Gupta, arXiv:2310.13421): a 2^n x 2^n
+    matrix's block [[a, b], [c, d]] goes to a+d, b+c, i(b-c), a-d (1, x, y, z);
+    a diagonal's 2^n entries, pair (a, d), go to a+d, a-d (1, z), which is the
+    Walsh-Hadamard transform, exact on integers and its own inverse up to 2^n.
+    """
+    n, k = m.shape[0].bit_length() - 1, m.ndim
+    # axes (row 0, column 0, row 1, column 1, ...), one block per qubit
+    t = m.reshape((2,) * k * n).transpose(np.arange(k * n).reshape(k, n).T.ravel())
+    for _ in range(n):
+        if k == 2:
+            a, b, c, d = t.reshape(4, -1)
+            t = np.stack([a + d, b + c, 1j * (b - c), a - d], axis=-1)
+        else:
+            a, d = t.reshape(2, -1)
+            t = np.stack([a + d, a - d], axis=-1)
+    return t.ravel()
+
+
 @dataclass(frozen=True)
 class Gate:
     """A 1- or 2-qubit unitary with a display name."""

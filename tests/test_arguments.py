@@ -105,9 +105,14 @@ def test_bad_shapes_are_rejected_by_name(name, call):
         call()
 
 
+# one qubit past from_dense's limit, allocated here, outside the traced
+# call: real, so a conversion to complex before the check would copy it
+_DENSE_PAST_LIMIT = np.eye(2 ** (dynamics._MAX_DENSE_QUBITS + 1))
+
 # (case, argument name, call) one past each size limit; each must be
 # refused before anything of that size is allocated
 _LIMITS = [
+    ("from_dense", "n_qubits", lambda: dynamics.from_dense(_DENSE_PAST_LIMIT)),
     ("zeros", "n_qubits", lambda: qstate.StateVector.zeros(qstate._MAX_QUBITS + 1)),
     ("computational", "n_qubits",
      lambda: qstate.StateVector.computational([0] * (qstate._MAX_QUBITS + 1))),

@@ -196,6 +196,18 @@ def test_hermite_outputs(tmp_path):
     assert payload["fidelity"][0]["max_error"] < 2e-3
 
 
+def test_hermite_json_pins_the_pauli_terms(tmp_path):
+    # the digitized field's strings at the default --nq 3: exact JSON
+    # integers (json.loads gives 4.0 for a float), in the transform's order
+    _run(tmp_path, "hermite")
+    terms = json.loads((tmp_path / "hermite.json").read_text())["pauli_terms"]
+    assert terms == {
+        "phi_q": [[1, "11z"], [2, "1z1"], [4, "z11"]],
+        "phi_q_squared": [[21, "111"], [4, "1zz"], [8, "z1z"], [16, "zz1"]],
+    }
+    assert all(type(c) is int for pairs in terms.values() for c, _ in pairs)
+
+
 def test_schwinger_outputs(tmp_path):
     _run(tmp_path, "schwinger")
     header, rows = _read_csv(tmp_path / "schwinger.csv")

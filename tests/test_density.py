@@ -247,3 +247,18 @@ def test_mutual_information_of_a_product_with_unequal_entropies():
     rho = density.DensityMatrix(np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2))
     assert density.mutual_information(rho, [0]) == pytest.approx(0.0, abs=1e-12)
     assert density.mutual_information(rho, [1]) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("shift, consistent", [(3.6e-12, True), (4.4e-12, False)])
+def test_bloch_ball_determinant_guard_at_its_tolerance(monkeypatch, shift, consistent):
+    # diag(3/4, 1/4) has r = 1/2 and det = 3/16; a radius off by `shift`
+    # moves (1 - r^2)/4 by shift/4, just inside or just past 1e-12
+    bloch = density._bloch
+    monkeypatch.setattr(density, "_bloch",
+                        lambda m: bloch(m)._replace(z=bloch(m).z + shift))
+    rho = density.DensityMatrix(np.diag([0.75, 0.25]))
+    if consistent:
+        assert density.bloch_ball_analysis(rho)[1] == 0.5 + shift
+        return
+    with pytest.raises(qstate.SimulationFault, match=r"^det\(rho\) != \(1-r\^2\)/4; inconsistent state$"):
+        density.bloch_ball_analysis(rho)

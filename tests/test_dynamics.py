@@ -273,6 +273,56 @@ def test_from_dense_random_hermitian():
     assert np.allclose(dynamics.dense(spec), m, atol=1e-10)
 
 
+def _from_dense_oracle(matrix):
+    """Oracle: the trace route, tr(P H)/2^n with every string P formed as
+    a dense matrix (32^n work), as (coefficient, factors) pairs with
+    from_dense's 1e-12 drop rule."""
+    m = np.asarray(matrix, dtype=complex)
+    n = m.shape[0].bit_length() - 1
+    terms = []
+    for factors in itertools.product("1xyz", repeat=n):
+        p = dynamics.OperatorString(1.0, factors).dense()
+        coeff = np.trace(p @ m) / m.shape[0]
+        if abs(coeff) > 1e-12:
+            terms.append((complex(coeff.real), factors))
+    return terms
+
+
+def _random_hermitian(n, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    return (a + a.conj().T) / 2
+
+
+@pytest.mark.parametrize("matrix", [
+    *[pytest.param(functools.partial(_random_hermitian, n, seed), id=f"random-n{n}-s{seed}")
+      for n in range(1, 6) for seed in (3, 29)],
+    pytest.param(lambda: dynamics.dense(dynamics.decoherence_hamiltonian()), id="decoherence"),
+    pytest.param(lambda: lattice.schwinger_h4(lattice.SchwingerParams(0.5, 0.1)),
+                 id="schwinger_h4"),
+])
+def test_from_dense_matches_the_trace_route(matrix):
+    m = matrix()
+    got = [(t.coefficient, t.factors) for t in dynamics.from_dense(m).terms]
+    want = _from_dense_oracle(m)
+    assert [f for _, f in got] == [f for _, f in want]
+    assert max(abs(c - w) for (c, _), (w, _) in zip(got, want)) <= 1e-15
+
+
+def test_from_dense_keeps_its_drop_rule_and_hermiticity_check():
+    # a term of 2e-12 stays and one of 5e-13 goes, as in the trace route
+    m = dynamics.dense(dynamics.build_hamiltonian([(1.0, "zz"), (2e-12, "xy"), (5e-13, "1x")]))
+    assert [t.factors for t in dynamics.from_dense(m).terms] == [("x", "y"), ("z", "z")]
+    with pytest.raises(ValueError, match="^matrix must be Hermitian$"):
+        dynamics.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_from_dense_takes_the_largest_qubit_count():
+    n = dynamics._MAX_DENSE_QUBITS
+    spec = dynamics.from_dense(np.eye(2**n))
+    assert [(t.coefficient, t.factors) for t in spec.terms] == [(1.0, ("1",) * n)]
+
+
 def test_kraus_reference_point():
     # published two-decimal values of the P matrices at t=1
     ks = dynamics.kraus_extract(dynamics.measurement_hamiltonian(), 1.0)

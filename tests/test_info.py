@@ -121,3 +121,16 @@ def test_biased_coin_curve_names_a_bad_point_count(points):
 def test_distribution_rejects_non_finite_entries(probs):
     with pytest.raises(ValueError, match="probabilities must be finite"):
         info.Distribution(probs)
+
+
+def test_bayes_zero_evidence_names_the_readout():
+    # a perfect readout of a prior sure of x = 0 never shows y = 1
+    prior = info.Distribution([1.0, 0.0])
+    with pytest.raises(ValueError, match="^readout y=1 has zero probability under this prior$"):
+        info.bayes_posterior(prior, info.BitFlipNoise(1.0), 1)
+
+
+def test_one_outcome_distribution_is_accepted():
+    dist = info.Distribution([1.0])
+    assert len(dist) == 1 and dist[0] == 1.0
+    assert info.shannon_entropy(dist) == 0.0

@@ -54,6 +54,50 @@ def test_walsh_decompose_rejects_non_integer_structure():
     assert np.array_equal(dec.diagonal(), np.array([3.0, 1.0, -1.0, -3.0]))
 
 
+def _walsh_oracle(values):
+    """Oracle: the Walsh-Hadamard transform as an in-place triple loop
+    over Python ints, as (coefficient, factors) pairs."""
+    coeffs = [int(v) for v in values]
+    size = len(coeffs)
+    n = size.bit_length() - 1
+    h = 1
+    while h < size:
+        for i in range(0, size, 2 * h):
+            for j in range(i, i + h):
+                coeffs[j], coeffs[j + h] = coeffs[j] + coeffs[j + h], coeffs[j] - coeffs[j + h]
+        h *= 2
+    terms = []
+    for mask in range(size):
+        if coeffs[mask] != 0:
+            assert coeffs[mask] % size == 0
+            factors = tuple("z" if mask & (1 << (n - 1 - q)) else "1" for q in range(n))
+            terms.append((coeffs[mask] // size, factors))
+    return terms
+
+
+def _diagonal_oracle(terms):
+    """Oracle: each string's sign (-1)^popcount(k & support) summed per entry k."""
+    n = len(terms[0][1])
+    diag = [0] * 2**n
+    for coeff, factors in terms:
+        mask = sum(1 << (n - 1 - q) for q, f in enumerate(factors) if f == "z")
+        for k in range(2**n):
+            diag[k] += -coeff if bin(k & mask).count("1") % 2 else coeff
+    return diag
+
+
+@pytest.mark.parametrize("n_q", range(1, 11))
+def test_digitize_matches_the_triple_loop(n_q):
+    field = lattice.digitize(n_q)
+    ladder = list(field.eigenvalues)
+    for dec, values in ((field.phi_q, ladder), (field.phi_q_squared, [v * v for v in ladder])):
+        assert list(dec.terms) == _walsh_oracle(values)
+        assert all(type(c) is int for c, _ in dec.terms)
+        diag = dec.diagonal()
+        assert diag == _diagonal_oracle(dec.terms) == values
+        assert all(type(v) is int for v in diag)
+
+
 def test_nyquist_window_reference_values():
     assert lattice.nyquist_L(8) == pytest.approx(math.sqrt(4 * math.pi), abs=1e-12)
     assert round(lattice.nyquist_L(8), 2) == 3.54

@@ -3,6 +3,7 @@
 import math
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -508,3 +509,68 @@ def test_area_law_scan_limits_are_checked_before_allocating(name, args):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("skew, symmetric", [(0.9e-12, True), (1.1e-12, False)])
+def test_coupling_matrix_symmetry_guard_at_its_tolerance(skew, symmetric):
+    K = np.array([[1.0, 0.2 + skew], [0.2, 1.0]])
+    if symmetric:
+        assert osc.CouplingMatrix(K).K[0, 1] == 0.5 * (0.2 + skew + 0.2)
+        return
+    with pytest.raises(ValueError, match="^K must be symmetric within 1e-12$"):
+        osc.CouplingMatrix(K)
+
+
+@pytest.mark.parametrize("shift, agree", [(0.9e-10, True), (1.1e-10, False)])
+def test_thermal_entropy_agreement_guard_at_its_tolerance(monkeypatch, shift, agree):
+    # the two closed forms agree to about 1e-16 at beta*omega = 1, so a
+    # log1p off by `shift` moves the Boltzmann form just inside or just
+    # past 1e-10
+    fake = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math) if k[0] != "_"})
+    fake.log1p = lambda x: math.log1p(x) - shift
+    monkeypatch.setattr(osc, "math", fake)
+    if agree:
+        assert osc.thermal_entropy(1.0) == pytest.approx(_thermal_entropy_oracle(1.0), abs=1e-12)
+        return
+    with pytest.raises(ArithmeticError, match=r"^closed forms disagree at beta\*omega=1\.0: "):
+        osc.thermal_entropy(1.0)
+
+
+@pytest.mark.parametrize("past, message", [
+    (1.1e-9, r"^negative symplectic spectrum -1\.\d+e-09 beyond tolerance$"),
+    (0.9e-9, r"^symplectic eigenvalue 0\.0 below 1/2 beyond tolerance$"),
+])
+def test_c_form_spectrum_guard_at_its_tolerance(past, message):
+    # delta = -1/4 - past puts c^2 = delta + 1/4 just past -1e-9 (first
+    # guard); just inside it, c clamps to 0 and c - 1/2 = -1/2 trips the
+    # second guard
+    delta = np.array([0.1, -0.25 - past])
+    with pytest.raises(ValueError, match=message):
+        osc._spectrum_entropy(delta)
+
+
+@pytest.mark.parametrize("lo, accepted", [(0.9e-9, True), (1.1e-9, False)])
+def test_c_form_half_guard_at_its_tolerance(lo, accepted):
+    # delta = -lo (1 - lo): c = 1/2 - lo, so (c^2 - 1/4)/(c + 1/2) = -lo
+    delta = np.array([0.1, -lo * (1.0 - lo)])
+    if accepted:
+        assert osc._spectrum_entropy(delta) == osc._spectrum_entropy(np.array([0.1]))
+        return
+    with pytest.raises(ValueError, match=r"^symplectic eigenvalue 0\.49999999\d* below 1/2 beyond tolerance$"):
+        osc._spectrum_entropy(delta)
+
+
+@pytest.mark.parametrize("build", [osc.tfd_pair, osc.tfd_coupling], ids=["pair", "coupling"])
+def test_tfd_theta_zero_is_outside_the_open_interval(build):
+    with pytest.raises(ValueError, match=r"^theta must lie strictly inside \(0, pi/2\), got 0\.0$"):
+        build(0.0)
+
+
+def test_a_zero_eigenvalue_is_not_positive_definite():
+    # eigh gives exactly 0.0 for diag(0, 1), the boundary of both checks
+    K = np.diag([0.0, 1.0])
+    assert np.linalg.eigvalsh(K)[0] == 0.0
+    with pytest.raises(ValueError, match="^K must be positive-definite$"):
+        osc.CouplingMatrix(K)
+    with pytest.raises(ValueError, match="^K must be positive-definite$"):
+        osc._correlator_stack(K)

@@ -518,3 +518,20 @@ def test_numpy_integer_seed_gives_the_plain_int_record():
 
 def test_state_vector_keeps_its_qubit_count_as_an_int():
     assert type(qstate.StateVector(np.int64(1), [1, 0]).n_qubits) is int
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_condition_values_span_exactly_the_register(width):
+    c = qstate.Circuit(2).add_measure(list(range(width)), "m")
+    c.add_gate("X", [1], condition=("m", 0))  # the smallest value is fine
+    with pytest.raises(ValueError, match=rf"^condition value {2**width} can never match "
+                                         rf"the {width}-bit register 'm'$"):
+        c.add_gate("X", [1], condition=("m", 2**width))
+
+
+@pytest.mark.parametrize("lo", [0, 1, 2])
+def test_check_dim_accepts_exactly_2_to_the_lo(lo):
+    assert qstate._check_dim("m", np.eye(2**lo), lo) == lo
+    below = np.eye(2 ** (lo - 1)) if lo else np.zeros((0, 0))
+    with pytest.raises(ValueError, match=rf"^m must be 2\^n x 2\^n with n >= {lo}, got "):
+        qstate._check_dim("m", below, lo)
