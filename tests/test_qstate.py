@@ -208,9 +208,11 @@ def test_execute_is_shot_zero_of_run_circuit(make, seed):
 
 
 def _per_shot_reference(circuit, shots, seed):
-    """Registers of the shot-by-shot loop: measure and apply_gate, one shot at a time."""
+    """Registers and final states of the shot-by-shot loop: measure and
+    apply_gate, one shot at a time.  Returns (registers, final states)."""
     rng = _rng(seed)
     out = {k: [] for k in circuit.register_widths()}
+    finals = []
     for _ in range(shots):
         state = qstate.StateVector.zeros(circuit.n_qubits)
         regs = {}
@@ -222,7 +224,8 @@ def _per_shot_reference(circuit, shots, seed):
                 state = qstate.apply_gate(state, step.gate, step.targets)
         for k in out:
             out[k].append(regs[k])
-    return out
+        finals.append(state)
+    return out, finals
 
 
 def _mixed_circuit():
@@ -246,7 +249,48 @@ def _mixed_circuit():
 def test_run_circuit_matches_per_shot_loop(make, seed):
     circuit = make()
     assert qstate.run_circuit(circuit, 300, seed).registers == \
-        _per_shot_reference(circuit, 300, seed)
+        _per_shot_reference(circuit, 300, seed)[0]
+
+
+def _ghz_chain(n):
+    """H on qubit 0, a CNOT chain, each qubit measured into its own register."""
+    c = qstate.Circuit(n).add_gate("H", [0])
+    for q in range(n - 1):
+        c.add_gate("CNOT", [q, q + 1])
+    for q in range(n):
+        c.add_measure([q], f"q{q}")
+    return c
+
+
+def _layout_circuit():
+    """CNOT(3, 0) leaves its einsum result in a permuted memory layout; summing
+    the marginal of qubit 3 over that layout, not over C order, moves the last
+    bits of the collapsed state (found by comparing random circuits)."""
+    c = qstate.Circuit(5).add_gate("YPow", [1], (0.145,)).add_gate("H", [3])
+    c.add_gate("CNOT", [3, 0]).add_gate("H", [0])
+    return c.add_measure([3], "m")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("make", [
+    qstate.flip_circuit,
+    qstate.bell_pair_circuit,
+    lambda: qstate.exchange_circuit(0.5),
+    lambda: qstate.teleport_circuit(0.103, 0.456, deferred=False),
+    lambda: qstate.teleport_circuit(0.103, 0.456, deferred=True),
+    _mixed_circuit,
+    lambda: _ghz_chain(10),
+    _layout_circuit,
+], ids=["flip", "bell_pair", "exchange", "teleport", "teleport_deferred", "mixed", "ghz10",
+        "layout"])
+def test_execute_final_state_matches_per_shot_loop(make, seed):
+    # bit for bit, not within a tolerance: the engine and the public
+    # measure/apply_gate route do the same float operations
+    circuit = make()
+    state, registers = qstate.execute(circuit, _rng(seed))
+    regs, finals = _per_shot_reference(circuit, 1, seed)
+    assert registers == {k: v[0] for k, v in regs.items()}
+    assert np.array_equal(state.amplitudes, finals[0].amplitudes)
 
 
 def test_run_circuit_wide_register_keeps_few_states():
@@ -266,7 +310,7 @@ def test_run_circuit_wide_register_keeps_few_states():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert record.registers == _per_shot_reference(c, 500, 7)
+    assert record.registers == _per_shot_reference(c, 500, 7)[0]
 
 
 def test_run_circuit_without_measurement_draws_nothing(monkeypatch):
