@@ -187,7 +187,7 @@ def sampled_chsh(settings: ChshSettings, shots: int, seed: int) -> SampledChshRe
     values = np.empty(shots)
     for k, state in enumerate(rotated):
         mine = picks == k
-        _, branch = qstate._sample_branches(state, (0, 1), u[mine])
+        _, branch = qstate._sample_branches(state.amplitudes.reshape(2, 2), (0, 1), u[mine])
         values[mine] = _PARITY[branch]
     # the values are +-1, so the float sums are exact whatever the order
     sums = np.bincount(picks, weights=values, minlength=4)

@@ -349,8 +349,8 @@ def bell_basis_rotation(state: StateVector, q0: int, q1: int, inverse: bool = Fa
     return apply_gate(state, cnot, [q0, q1])
 
 
-def _sample_branches(state: StateVector, qubits: Sequence[int], u):
-    """Outcome probabilities of measuring `qubits`, and the branch each uniform draws.
+def _sample_branches(amps: np.ndarray, qubits: Sequence[int], u):
+    """Outcome probabilities of measuring `qubits` of `amps`, and the branch each uniform draws.
 
     `flat` lists the outcomes with the bits ordered like `qubits` (the
     first qubit most significant).  A uniform u (a scalar or an array)
@@ -358,15 +358,11 @@ def _sample_branches(state: StateVector, qubits: Sequence[int], u):
     clipped to the last branch; drawing a branch below _MIN_BRANCH_PROB
     is a SimulationFault.  Returns (flat, k).
     """
-    n = state.n_qubits
-    probs = np.abs(state.amplitudes.reshape([2] * n)) ** 2
-    others = tuple(q for q in range(n) if q not in qubits)
-    pm = probs.sum(axis=others) if others else probs
-    # pm axes are the measured qubits in ascending order; put them in
-    # caller order before flattening
+    others = tuple(q for q in range(amps.ndim) if q not in qubits)
+    pm = (np.abs(amps) ** 2).sum(axis=others)
+    # pm's axes are the measured qubits in ascending order; flat's follow `qubits`
     srt = sorted(qubits)
-    pm = np.transpose(pm, [srt.index(q) for q in qubits])
-    flat = pm.reshape(-1)
+    flat = np.transpose(pm, [srt.index(q) for q in qubits]).reshape(-1)
     cum = np.cumsum(flat)
     k = np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), flat.size - 1)
     p = flat[k]
@@ -375,21 +371,19 @@ def _sample_branches(state: StateVector, qubits: Sequence[int], u):
     return flat, k
 
 
-def _collapse(state: StateVector, qubits: Sequence[int], k: int, p: float):
-    """Project `qubits` onto outcome k, of probability p, and renormalise.
+def _collapse(amps: np.ndarray, qubits: Sequence[int], k: int, p: float):
+    """Project `qubits` of `amps` onto outcome k, of probability p, and renormalise.
 
-    Returns (bits, collapsed_state) with bits ordered like `qubits`.
+    Returns (bits, collapsed tensor) with bits ordered like `qubits`.
     """
-    n = state.n_qubits
     m = len(qubits)
     bits = tuple((k >> (m - 1 - i)) & 1 for i in range(m))
-    idx: list = [slice(None)] * n
+    idx: list = [slice(None)] * amps.ndim
     for q, b in zip(qubits, bits):
         idx[q] = b
-    view = state.amplitudes.reshape([2] * n)
-    new = np.zeros_like(view)
-    new[tuple(idx)] = view[tuple(idx)] / math.sqrt(p)
-    return bits, StateVector(n, new.reshape(-1))
+    new = np.zeros_like(amps)
+    new[tuple(idx)] = amps[tuple(idx)] / math.sqrt(p)
+    return bits, new
 
 
 def measure(state: StateVector, qubits: Sequence[int], rng: np.random.Generator):
@@ -400,8 +394,10 @@ def measure(state: StateVector, qubits: Sequence[int], rng: np.random.Generator)
     distribution, so a fixed generator state gives a fixed outcome.
     """
     qubits = _check_qubits(qubits, state.n_qubits, "measured qubit")
-    flat, k = _sample_branches(state, qubits, rng.random())
-    return _collapse(state, qubits, int(k), float(flat[k]))
+    amps = state.amplitudes.reshape((2,) * state.n_qubits)
+    flat, k = _sample_branches(amps, qubits, rng.random())
+    bits, new = _collapse(amps, qubits, int(k), float(flat[k]))
+    return bits, StateVector(amps.ndim, new)
 
 
 class BlochVector(NamedTuple):
@@ -564,38 +560,41 @@ def _run_shots(circuit: Circuit, shots: int, rng: np.random.Generator, emit) -> 
     collapsed once, when it is taken off the stack, so pending branches
     share their parent's state and at most one collapsed state per
     MeasureStep is alive.  Conditions skip gates only, never draws, and
-    are evaluated from the branch's own registers.  Each leaf calls
-    emit(shot indices, registers, final state).
+    are evaluated from the branch's own registers.  A state is a (2,) * n
+    amplitude tensor checked with the circuit, not per node, and kept in C
+    order: einsum may permute it, and marginal sums over a permuted layout
+    move last bits.  Each leaf calls emit(shot indices, registers, amplitudes).
     """
-    steps = circuit.steps
+    steps, n = circuit.steps, circuit.n_qubits
+    ops = [s.gate.matrix.reshape((2,) * (2 * s.gate.arity)) if isinstance(s, GateStep)
+           else None for s in steps]
     n_draws = sum(isinstance(s, MeasureStep) for s in steps)
     u = rng.random(shots * n_draws).reshape(shots, n_draws)
-    # (step, state, registers, shot indices, draw column, pending branch):
-    # the pending (k, p) is the outcome of MeasureStep `step` to collapse
-    # `state` onto before walking on from step + 1
-    stack = [(0, StateVector.zeros(circuit.n_qubits), {}, np.arange(shots), 0, None)]
+    # (step, amplitudes, registers, shot indices, draw column, pending (k, p)):
+    # the outcome of MeasureStep `step` to collapse onto before step + 1
+    stack = [(0, StateVector.zeros(n).amplitudes.reshape((2,) * n), {}, np.arange(shots), 0, None)]
     while stack:
-        start, state, registers, idx, j, pending = stack.pop()
+        start, amps, registers, idx, j, pending = stack.pop()
         if pending is not None:
             step = steps[start]
-            bits, state = _collapse(state, step.qubits, *pending)
+            bits, amps = _collapse(amps, step.qubits, *pending)
             registers = {**registers, step.key: "".join(str(b) for b in bits)}
             start += 1
         for i in range(start, len(steps)):
             step = steps[i]
             if isinstance(step, MeasureStep):
-                flat, ks = _sample_branches(state, step.qubits, u[idx, j])
+                flat, ks = _sample_branches(amps, step.qubits, u[idx, j])
                 for k in np.flatnonzero(np.bincount(ks, minlength=flat.size)):
-                    stack.append((i, state, registers, idx[ks == k], j + 1,
+                    stack.append((i, amps, registers, idx[ks == k], j + 1,
                                   (int(k), float(flat[k]))))
                 break
             if step.condition is not None:
                 reg, want = step.condition
                 if int(registers[reg], 2) != want:
                     continue
-            state = apply_gate(state, step.gate, step.targets)
+            amps = np.ascontiguousarray(_apply_local(ops[i], amps, step.targets))
         else:
-            emit(idx, registers, state)
+            emit(idx, registers, amps)
 
 
 def execute(circuit: Circuit, rng: np.random.Generator):
@@ -604,8 +603,9 @@ def execute(circuit: Circuit, rng: np.random.Generator):
     Draws one uniform per MeasureStep from `rng`, in circuit order.
     """
     leaves = []
-    _run_shots(circuit, 1, rng, lambda idx, registers, state: leaves.append((state, registers)))
-    return leaves[0]
+    _run_shots(circuit, 1, rng, lambda *leaf: leaves.append(leaf))
+    _, registers, amps = leaves[0]
+    return StateVector(circuit.n_qubits, amps), registers
 
 
 @dataclass

@@ -177,6 +177,21 @@ def test_measure_zero_branch_faults():
         qstate.measure(st, [0], OneRng())
 
 
+def test_measure_branch_at_the_floor_is_drawn(monkeypatch):
+    # a drawn branch faults below _MIN_BRANCH_PROB, not at it: every branch
+    # of |++> has probability 0.25 exactly, and u = 1 draws the last one
+    class OneRng:
+        def random(self):
+            return 1.0
+
+    st = qstate.StateVector(2, np.full(4, 0.5))
+    monkeypatch.setattr(qstate, "_MIN_BRANCH_PROB", 0.25)
+    assert qstate.measure(st, [0, 1], OneRng())[0] == (1, 1)
+    monkeypatch.setattr(qstate, "_MIN_BRANCH_PROB", math.nextafter(0.25, 1.0))
+    with pytest.raises(qstate.SimulationFault, match="probability 0.25"):
+        qstate.measure(st, [0, 1], OneRng())
+
+
 class _OnesRng:
     """Generator stub whose uniforms are all 1.0, the top of the last branch."""
 
