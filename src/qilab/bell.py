@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import density, qstate
-from .qstate import StateVector, apply_gate, standard_gate
+from .qstate import StateVector
 
 __all__ = [
     "ChshSettings",
@@ -146,15 +146,16 @@ def classical_bound_check() -> list:
 
 def _rotated_for_measurement(state: StateVector, gamma_a: float, gamma_b: float) -> StateVector:
     # Measuring cos(g) Z + sin(g) X equals a computational measurement after
-    # undoing the observable's eigenbasis rotation exp(-i g Y / 2).
-    out = state
+    # undoing the observable's eigenbasis rotation exp(-i g Y / 2).  undo is
+    # unitary for any finite angle, which ChshSettings checks, so it needs no
+    # Gate; each step is apply_gate's einsum, kept in C order as its copy was.
+    amps = state.amplitudes.reshape(2, 2)
     for qubit, gamma in ((0, gamma_a), (1, gamma_b)):
         if gamma != 0.0:
             c, s = math.cos(gamma / 2.0), math.sin(gamma / 2.0)
             undo = np.array([[c, s], [-s, c]], dtype=complex)
-            gate = qstate.Gate("Ry*", (gamma,), undo)
-            out = apply_gate(out, gate, [qubit])
-    return out
+            amps = np.ascontiguousarray(qstate._apply_local(undo, amps, [qubit]))
+    return StateVector(2, amps.reshape(-1))
 
 
 # value of the product of the two outcomes (+1/-1) for branches 00, 01, 10, 11
@@ -184,14 +185,20 @@ def sampled_chsh(settings: ChshSettings, shots: int, seed: int) -> SampledChshRe
     ]
     picks = rng.integers(0, 4, size=shots)
     u = rng.random(shots)
-    values = np.empty(shots)
-    for k, state in enumerate(rotated):
-        mine = picks == k
-        _, branch = qstate._sample_branches(state.amplitudes.reshape(2, 2), (0, 1), u[mine])
-        values[mine] = _PARITY[branch]
-    # the values are +-1, so the float sums are exact whatever the order
-    sums = np.bincount(picks, weights=values, minlength=4)
+    # A stable sort groups the shots by pair, each group in shot order, so
+    # pair k's uniforms are the slice lo:hi of u[order], in the order a mask
+    # picks == k would give them.
+    order = np.argsort(picks.astype(np.uint8), kind="stable")
     counts = np.bincount(picks, minlength=4)
+    u = u[order]
+    sums = np.empty(4)
+    lo = 0
+    for k, state in enumerate(rotated):
+        hi = lo + counts[k]
+        _, branch = qstate._sample_branches(state.amplitudes.reshape(2, 2), (0, 1), u[lo:hi])
+        # the values are +-1, so the float sum is exact whatever the order
+        sums[k] = _PARITY[branch].sum()
+        lo = hi
 
     estimates = np.zeros(4)
     errors = np.zeros(4)
