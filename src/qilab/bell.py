@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import density, qstate
-from .qstate import StateVector
+from .qstate import StateVector, apply_gate  # noqa: F401, perfbench's tests read bell.apply_gate
 
 __all__ = [
     "ChshSettings",

@@ -21,7 +21,8 @@ bitstrings only, so platform-stable.  Regenerate with
 
     for s in 1 2 3; do python tests/test_golden.py $s; done
 
-tests/golden/sampled_chsh_grid.txt holds one line per CHSH_GRID case,
+tests/golden/sampled_chsh_grid.txt holds one line per case of the
+CHSH_KINDS x CHSH_ALPHAS x CHSH_SEEDS x CHSH_SHOTS grid:
 "kind alpha seed shots", a tab, and repr(dataclasses.astuple(result))
 of sampled_chsh on optimal_settings(alpha)[0] or fixed_settings(alpha);
 the repr keeps each field's type as well as its bits.  Regenerate with
