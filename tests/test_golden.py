@@ -143,7 +143,9 @@ def _per_shot_chsh(settings, shots, seed):
               for e, n in zip(estimates, counts)]
     e_qs, e_qt, e_rs, e_rt = estimates
     e_bell = e_qs + e_rs + e_rt - e_qt
-    se_bell = math.sqrt(sum(e * e for e in errors))
+    # numpy's order of addition, as in sampled_chsh: from Python 3.12 the
+    # builtin sum() of floats is compensated and can differ in the last bit
+    se_bell = math.sqrt(float(np.sum(np.square(errors))))
     return (e_qs, e_qt, e_rs, e_rt, e_bell, e_bell - 2.0, *errors, se_bell, tuple(counts))
 
 

@@ -11,7 +11,7 @@ whole module when none are named) is flipped in turn: < and <=, > and >=,
 with ast.unparse and the test files run there with pytest -x.  A mutant
 whose tests still pass survived, and is printed with its line.  An
 unmutated ast.unparse round trip runs first and must pass.  A test run
-that outlasts --timeout counts as killed.  Exit status: 0 when every
+that outlasts TIMEOUT seconds counts as killed.  Exit status: 0 when every
 mutant was killed, 1 when one survived, 2 when the round trip failed.
 Standard library only.
 """
@@ -37,6 +37,7 @@ SYMBOL = {
     ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
     ast.NotEq: "!=", ast.In: "in", ast.NotIn: "not in", ast.Is: "is", ast.IsNot: "is not",
 }
+TIMEOUT = 600.0  # seconds for one test run; guards against a mutant that never ends
 SKIP = shutil.ignore_patterns(".git", ".perfbench_runs", "__pycache__", ".pytest_cache",
                               "*.egg-info")
 
@@ -61,13 +62,13 @@ def sites(tree: ast.Module, functions: list[str]):
     return sorted(found.values(), key=lambda s: (s[1].lineno, s[1].col_offset, s[2]))
 
 
-def run_tests(copy: Path, tests: list[str], timeout: float) -> bool:
+def run_tests(copy: Path, tests: list[str]) -> bool:
     """True when the test files pass in `copy`; a timeout counts as a failure."""
     # no bytecode: a mutant of the same size and mtime could reuse a stale .pyc
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
-        done = subprocess.run(cmd, cwd=copy, env=env, timeout=timeout,
+        done = subprocess.run(cmd, cwd=copy, env=env, timeout=TIMEOUT,
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     except subprocess.TimeoutExpired:
         return False
@@ -81,8 +82,6 @@ def main(argv=None) -> int:
                         help="mutate only inside these functions (default: the whole module)")
     parser.add_argument("--tests", nargs="+", required=True,
                         help="test files or node ids, run with pytest -x")
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds allowed for one test run (default 600)")
     args = parser.parse_args(argv)
 
     module = Path(args.module).resolve().relative_to(ROOT)
@@ -96,7 +95,7 @@ def main(argv=None) -> int:
         shutil.copytree(ROOT, copy, ignore=SKIP)
         target = copy / module
         target.write_text(ast.unparse(tree) + "\n")
-        if not run_tests(copy, args.tests, args.timeout):
+        if not run_tests(copy, args.tests):
             print("mutants: the unmutated ast.unparse round trip fails its tests")
             return 2
         survivors = []
@@ -106,7 +105,7 @@ def main(argv=None) -> int:
             target.write_text(ast.unparse(tree) + "\n")
             node.ops[i] = op
             flip = f"{SYMBOL[type(op)]} -> {SYMBOL[FLIP[type(op)]]}"
-            if run_tests(copy, args.tests, args.timeout):
+            if run_tests(copy, args.tests):
                 survivors.append(f"{module}:{node.lineno} [{name}] {flip}: "
                                  f"{lines[node.lineno - 1].strip()}")
 
