@@ -76,10 +76,16 @@ def thermal_entropy(beta_omega: float) -> float:
     -log(1 - e^{-bw}) + bw e^{-bw}/(1 - e^{-bw}) and the c-form with
     c = (1/2) coth(bw/2); they must agree within 1e-10 and the common
     value is returned.  beta_omega = inf is the zero-temperature limit
-    and gives 0.0; NaN and values not above 0 are a ValueError.
+    and gives 0.0; NaN and values not above 0 are a ValueError.  Below
+    beta_omega ~ 2e-5 the forms disagree, and below ~5.5e-17 e^{-bw}
+    rounds to 1, where the Boltzmann form has no value: both raise
+    ArithmeticError naming beta*omega.
     """
     bw = _check_positive("beta_omega", float(beta_omega))
     x = math.exp(-bw)
+    if x == 1.0:
+        raise ArithmeticError(f"closed forms have no value at beta*omega={bw}: "
+                              f"e^(-beta*omega) rounds to 1")
     boltzmann = -math.log1p(-x) + bw * x / (1.0 - x) if x > 0.0 else 0.0
     # c >= 1/2 as tanh <= 1.  Scalar math.log on purpose: np.log differs
     # from it by an ulp on some inputs, which would move the tfd data.

@@ -355,19 +355,20 @@ def _sample_branches(amps: np.ndarray, qubits: Sequence[int], u):
     `flat` lists the outcomes with the bits ordered like `qubits` (the
     first qubit most significant).  A uniform u (a scalar or an array)
     draws the branch k where u * cum[-1] falls in the cumulative sum,
-    clipped to the last branch; drawing a branch below _MIN_BRANCH_PROB
-    is a SimulationFault.  Returns (flat, k).
+    clipped to the last branch; drawing a branch below _MIN_BRANCH_PROB,
+    or of NaN probability, is a SimulationFault.  Returns (flat, k).
     """
     others = tuple(q for q in range(amps.ndim) if q not in qubits)
     pm = (np.abs(amps) ** 2).sum(axis=others)
     # pm's axes are the measured qubits in ascending order; flat's follow `qubits`
     srt = sorted(qubits)
     flat = np.transpose(pm, [srt.index(q) for q in qubits]).reshape(-1)
-    cum = np.cumsum(flat)
-    k = np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), flat.size - 1)
+    cum = flat.cumsum()
+    k = np.minimum(cum.searchsorted(u * cum[-1], side="right"), flat.size - 1)
     p = flat[k]
-    if np.any(p < _MIN_BRANCH_PROB):
-        raise SimulationFault(f"collapse onto branch with probability {float(np.min(p))}")
+    # an empty draw (a CHSH pair without shots) has no floor to check; NaN fails it
+    if p.size and not p.min() >= _MIN_BRANCH_PROB:
+        raise SimulationFault(f"collapse onto branch with probability {float(p.min())}")
     return flat, k
 
 
@@ -381,7 +382,7 @@ def _collapse(amps: np.ndarray, qubits: Sequence[int], k: int, p: float):
     idx: list = [slice(None)] * amps.ndim
     for q, b in zip(qubits, bits):
         idx[q] = b
-    new = np.zeros_like(amps)
+    new = np.zeros(amps.shape, amps.dtype)
     new[tuple(idx)] = amps[tuple(idx)] / math.sqrt(p)
     return bits, new
 
@@ -556,14 +557,17 @@ def _run_shots(circuit: Circuit, shots: int, rng: np.random.Generator, emit) -> 
     draws of `shots` sequential executions (PCG64 fills an array with
     the scalar stream).  The circuit is walked once per distinct outcome
     history: at each MeasureStep the shots on that history are routed
-    together through _sample_branches, and each drawn branch is
-    collapsed once, when it is taken off the stack, so pending branches
-    share their parent's state and at most one collapsed state per
-    MeasureStep is alive.  Conditions skip gates only, never draws, and
-    are evaluated from the branch's own registers.  A state is a (2,) * n
-    amplitude tensor checked with the circuit, not per node, and kept in C
-    order: einsum may permute it, and marginal sums over a permuted layout
-    move last bits.  Each leaf calls emit(shot indices, registers, amplitudes).
+    together through _sample_branches.  Where they all draw one branch,
+    the walk collapses onto it and goes on in place with the same shot
+    indices; only a real split pushes one stack entry per drawn branch,
+    and each is collapsed when it is taken off the stack, so pending
+    branches share their parent's state and at most one collapsed state
+    per MeasureStep is alive.  A single shot, as in `execute`, never
+    splits.  Conditions skip gates only, never draws, and are evaluated
+    from the branch's own registers.  A state is a (2,) * n amplitude
+    tensor checked with the circuit, not per node, and kept in C order:
+    einsum may permute it, and marginal sums over a permuted layout move
+    last bits.  Each leaf calls emit(shot indices, registers, amplitudes).
     """
     steps, n = circuit.steps, circuit.n_qubits
     ops = [s.gate.matrix.reshape((2,) * (2 * s.gate.arity)) if isinstance(s, GateStep)
@@ -575,19 +579,22 @@ def _run_shots(circuit: Circuit, shots: int, rng: np.random.Generator, emit) -> 
     stack = [(0, StateVector.zeros(n).amplitudes.reshape((2,) * n), {}, np.arange(shots), 0, None)]
     while stack:
         start, amps, registers, idx, j, pending = stack.pop()
-        if pending is not None:
-            step = steps[start]
-            bits, amps = _collapse(amps, step.qubits, *pending)
-            registers = {**registers, step.key: "".join(str(b) for b in bits)}
-            start += 1
         for i in range(start, len(steps)):
             step = steps[i]
             if isinstance(step, MeasureStep):
-                flat, ks = _sample_branches(amps, step.qubits, u[idx, j])
-                for k in np.flatnonzero(np.bincount(ks, minlength=flat.size)):
-                    stack.append((i, amps, registers, idx[ks == k], j + 1,
-                                  (int(k), float(flat[k]))))
-                break
+                if pending is None:
+                    flat, ks = _sample_branches(amps, step.qubits, u[idx, j])
+                    drawn = np.bincount(ks, minlength=flat.size).nonzero()[0]
+                    if drawn.size != 1:
+                        for k in drawn:
+                            stack.append((i, amps, registers, idx[ks == k], j,
+                                          (int(k), float(flat[k]))))
+                        break
+                    pending = int(drawn[0]), float(flat[drawn[0]])
+                bits, amps = _collapse(amps, step.qubits, *pending)
+                registers = {**registers, step.key: "".join(str(b) for b in bits)}
+                j, pending = j + 1, None
+                continue
             if step.condition is not None:
                 reg, want = step.condition
                 if int(registers[reg], 2) != want:

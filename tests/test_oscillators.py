@@ -40,6 +40,14 @@ def test_thermal_entropy_rejects_nonpositive():
         osc.thermal_entropy(-1.0)
 
 
+@pytest.mark.parametrize("bw", [5e-324, 1e-17, 6e-17])
+def test_thermal_entropy_tiny_beta_omega_raises_the_guard(bw):
+    # below ~5.5e-17 e^-bw rounds to 1, where log1p(-1.0) would escape as
+    # a bare math domain error; at 6e-17 the two forms already disagree
+    with pytest.raises(ArithmeticError, match=rf"at beta\*omega={bw!r}: "):
+        osc.thermal_entropy(bw)
+
+
 def test_partition_function_matches_ladder_sum():
     for bw in (0.3, 1.0, 3.0):
         n = np.arange(2000)

@@ -594,3 +594,13 @@ def test_check_dim_accepts_exactly_2_to_the_lo(lo):
     below = np.eye(2 ** (lo - 1)) if lo else np.zeros((0, 0))
     with pytest.raises(ValueError, match=rf"^m must be 2\^n x 2\^n with n >= {lo}, got "):
         qstate._check_dim("m", below, lo)
+
+
+def test_sample_branches_faults_on_a_nan_drawn_branch():
+    # NaN < floor is False, so only a test written `not p >= floor` stops the
+    # NaN branch that u = 1 draws here
+    amps = np.array([1.0, np.nan], dtype=complex)
+    with pytest.raises(qstate.SimulationFault, match="probability nan"):
+        qstate._sample_branches(amps, (0,), np.ones(3))
+    with pytest.raises(qstate.SimulationFault, match="probability nan"):
+        qstate._sample_branches(amps, (0,), 1.0)

@@ -43,23 +43,33 @@ SKIP = shutil.ignore_patterns(".git", ".perfbench_runs", "__pycache__", ".pytest
 
 
 def sites(tree: ast.Module, functions: list[str]):
-    """(scope name, Compare node, operator index) of each comparison, in source order."""
-    if functions:
-        scopes = [n for n in ast.walk(tree)
-                  if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.name in functions]
-        missing = set(functions) - {s.name for s in scopes}
-        if missing:
-            sys.exit(f"mutants: no function named {', '.join(sorted(missing))}")
-    else:
-        scopes = [tree]
-    found = {}
-    for scope in scopes:
-        name = getattr(scope, "name", "<module>")
-        for node in ast.walk(scope):
-            if isinstance(node, ast.Compare):
-                for i in range(len(node.ops)):
-                    found.setdefault((id(node), i), (name, node, i))
-    return sorted(found.values(), key=lambda s: (s[1].lineno, s[1].col_offset, s[2]))
+    """(scope name, Compare node, operator index) of each comparison, in source order.
+
+    The scope name is the dotted path of the enclosing classes and
+    functions, such as Circuit.digest, or <module> at the top level.  With
+    `functions`, only comparisons inside a function of one of those names
+    are listed.
+    """
+    found, seen = [], set()
+
+    def visit(node, path, inside):
+        for child in ast.iter_child_nodes(node):
+            child_path, child_inside = path, inside
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                child_path = path + (child.name,)
+                if not isinstance(child, ast.ClassDef) and child.name in functions:
+                    child_inside = True
+                    seen.add(child.name)
+            if isinstance(child, ast.Compare) and (inside or not functions):
+                found.extend((".".join(path) or "<module>", child, i)
+                             for i in range(len(child.ops)))
+            visit(child, child_path, child_inside)
+
+    visit(tree, (), False)
+    missing = set(functions) - seen
+    if missing:
+        sys.exit(f"mutants: no function named {', '.join(sorted(missing))}")
+    return sorted(found, key=lambda s: (s[1].lineno, s[1].col_offset, s[2]))
 
 
 def run_tests(copy: Path, tests: list[str]) -> bool:
