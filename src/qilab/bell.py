@@ -148,13 +148,13 @@ def _rotated_for_measurement(state: StateVector, gamma_a: float, gamma_b: float)
     # Measuring cos(g) Z + sin(g) X equals a computational measurement after
     # undoing the observable's eigenbasis rotation exp(-i g Y / 2).  undo is
     # unitary for any finite angle, which ChshSettings checks, so it needs no
-    # Gate; each step is apply_gate's einsum, kept in C order as its copy was.
+    # Gate; each step is apply_gate's einsum.
     amps = state.amplitudes.reshape(2, 2)
     for qubit, gamma in ((0, gamma_a), (1, gamma_b)):
         if gamma != 0.0:
             c, s = math.cos(gamma / 2.0), math.sin(gamma / 2.0)
             undo = np.array([[c, s], [-s, c]], dtype=complex)
-            amps = np.ascontiguousarray(qstate._apply_local(undo, amps, [qubit]))
+            amps = qstate._apply_local(undo, amps, [qubit])
     return StateVector(2, amps.reshape(-1))
 
 

@@ -14,7 +14,6 @@ approximation -log(eps) + 1 - eps/2, and the fitted area-law constant
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -452,18 +451,6 @@ def _accumulate(S: np.ndarray, prev: np.ndarray, ls: np.ndarray,
     return running[rows, last], terms[rows, last], ls[last], stopped
 
 
-def _stack_helper(tasks, results) -> None:
-    # area_law_scan's helper thread: _shell_terms(*task) for each task
-    # until None, putting each result, or the exception it raised, on
-    # results.  numpy's eigh, Cholesky, eigvalsh and matmul release the
-    # GIL, so the calling thread's stack runs meanwhile.
-    for task in iter(tasks.get, None):
-        try:
-            results.put(_shell_terms(*task))
-        except BaseException as exc:  # re-raised on the calling thread
-            results.put(exc)
-
-
 def area_law_scan(N: int, l_max: int) -> EntropyCurve:
     """Entanglement entropy of the outer shell versus inner radius.
 
@@ -479,13 +466,14 @@ def area_law_scan(N: int, l_max: int) -> EntropyCurve:
     full result; corner_bound reports the largest such bound over the
     terms summed.
 
-    The stacks go in rounds of two.  One helper thread, started per
-    call and joined before it returns or raises, computes the second
-    stack of a round for the radii active at the start of the round
-    while the calling thread computes the first; an exception of
-    either stack comes out of the call unchanged.  A radius's terms do
-    not depend on the other radii of its batch, so every field is bit
-    for bit that of one stack at a time on one thread.  On a quiet
+    The stacks go in rounds of two.  A one-worker ThreadPoolExecutor,
+    made per call and shut down (its thread joined) before the call
+    returns or raises, computes the second stack of a round for the
+    radii active at the start of the round while the calling thread
+    computes the first; an exception of either stack comes out of the
+    call unchanged, the helper's through Future.result().  A radius's
+    terms do not depend on the other radii of its batch, so every field
+    is bit for bit that of one stack at a time on one thread.  On a quiet
     2-core VM with one BLAS thread, (60, 300) takes about 0.2 s of wall
     time and 0.3 s of CPU time, against about 0.27 s of each one stack
     at a time, and (200, 1000), acceptance criterion 8, about 6 s
@@ -515,27 +503,20 @@ def area_law_scan(N: int, l_max: int) -> EntropyCurve:
     corner_bound = 0.0
     active = np.ones(N + 1, dtype=bool)
     active[0] = active[N] = False  # exact zeros at both endpoints
-    import queue  # here, not at the top: it would add to `import qilab`
+    # here, not at the top: it would add to `import qilab`
+    from concurrent.futures import ThreadPoolExecutor
 
-    # one helper thread per call, stopped and joined in the finally
-    # block, also when a stack raises
-    tasks, results = queue.SimpleQueue(), queue.SimpleQueue()
-    helper = threading.Thread(target=_stack_helper, args=(tasks, results),
-                              name="area_law_scan helper")
-    helper.start()
-    try:
+    # the with block joins the helper, also when a stack raises
+    with ThreadPoolExecutor(1, thread_name_prefix="area_law_scan helper") as helper:
         for l0 in range(0, l_max + 1, 2 * _L_STACK):
             radii = np.nonzero(active)[0]
             if radii.size == 0:
                 break
             stacks = [np.arange(a, min(a + _L_STACK, l_max + 1))
                       for a in (l0, l0 + _L_STACK) if a <= l_max]
-            for ls in stacks[1:]:
-                tasks.put((ls, N, radii))
+            second = [helper.submit(_shell_terms, ls, N, radii) for ls in stacks[1:]]
             computed = [_shell_terms(stacks[0], N, radii)]
-            computed += [results.get() for _ in stacks[1:]]
-            if isinstance(computed[-1], BaseException):
-                raise computed[-1]
+            computed += [future.result() for future in second]
             for ls, (entropies, bounds) in zip(stacks, computed):
                 # the rows of radii that stopped in the round's first
                 # stack are dropped, like the terms of a stack past a stop
@@ -549,9 +530,6 @@ def area_law_scan(N: int, l_max: int) -> EntropyCurve:
                 active[rows[stopped]] = False
                 summed = ls <= l_stop[rows, None]
                 corner_bound = max(corner_bound, float(bounds[keep][summed].max()))
-    finally:
-        tasks.put(None)
-        helper.join()
     r = np.arange(N + 1) + 0.5
     samples = tuple((float(rv), float(sv)) for rv, sv in zip(r, S))
     lam = fit_area_coefficient(samples, _FIT_FRACTION * (N + 0.5))

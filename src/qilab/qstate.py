@@ -325,13 +325,17 @@ def apply_gate(state: StateVector, gate: Gate, targets: Sequence[int]) -> StateV
 
 def _apply_local(op: np.ndarray, tensor: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     """Apply `op`, shaped (out axes..., in axes...), to `axes` of a tensor
-    whose axes may have any sizes; the other axes pass through."""
+    whose axes may have any sizes; the other axes pass through.
+
+    The result is in C order.  einsum may return a permuted layout, and
+    a later sum over a permuted layout, such as a measurement marginal,
+    adds in another order and moves last bits."""
     n = tensor.ndim
     new = list(range(n, n + len(axes)))
     out = list(range(n))
     for a, b in zip(axes, new):
         out[a] = b
-    return np.einsum(op, new + list(axes), tensor, list(range(n)), out)
+    return np.ascontiguousarray(np.einsum(op, new + list(axes), tensor, list(range(n)), out))
 
 
 def bell_basis_rotation(state: StateVector, q0: int, q1: int, inverse: bool = False) -> StateVector:
@@ -356,7 +360,8 @@ def _sample_branches(amps: np.ndarray, qubits: Sequence[int], u):
     first qubit most significant).  A uniform u (a scalar or an array)
     draws the branch k where u * cum[-1] falls in the cumulative sum,
     clipped to the last branch; drawing a branch below _MIN_BRANCH_PROB,
-    or of NaN probability, is a SimulationFault.  Returns (flat, k).
+    or of NaN probability, or a total that is not finite is a
+    SimulationFault.  Returns (flat, k).
     """
     others = tuple(q for q in range(amps.ndim) if q not in qubits)
     pm = (np.abs(amps) ** 2).sum(axis=others)
@@ -369,6 +374,10 @@ def _sample_branches(amps: np.ndarray, qubits: Sequence[int], u):
     # an empty draw (a CHSH pair without shots) has no floor to check; NaN fails it
     if p.size and not p.min() >= _MIN_BRANCH_PROB:
         raise SimulationFault(f"collapse onto branch with probability {float(p.min())}")
+    # a NaN before the last branch makes the total NaN, and every u then
+    # draws the last branch, whose own probability may pass the floor
+    if not math.isfinite(cum[-1]):
+        raise SimulationFault(f"branch probabilities sum to {float(cum[-1])}")
     return flat, k
 
 
@@ -565,9 +574,9 @@ def _run_shots(circuit: Circuit, shots: int, rng: np.random.Generator, emit) -> 
     per MeasureStep is alive.  A single shot, as in `execute`, never
     splits.  Conditions skip gates only, never draws, and are evaluated
     from the branch's own registers.  A state is a (2,) * n amplitude
-    tensor checked with the circuit, not per node, and kept in C order:
-    einsum may permute it, and marginal sums over a permuted layout move
-    last bits.  Each leaf calls emit(shot indices, registers, amplitudes).
+    tensor checked with the circuit, not per node, and kept in C order
+    by _apply_local.  Each leaf calls emit(shot indices, registers,
+    amplitudes).
     """
     steps, n = circuit.steps, circuit.n_qubits
     ops = [s.gate.matrix.reshape((2,) * (2 * s.gate.arity)) if isinstance(s, GateStep)
@@ -599,7 +608,7 @@ def _run_shots(circuit: Circuit, shots: int, rng: np.random.Generator, emit) -> 
                 reg, want = step.condition
                 if int(registers[reg], 2) != want:
                     continue
-            amps = np.ascontiguousarray(_apply_local(ops[i], amps, step.targets))
+            amps = _apply_local(ops[i], amps, step.targets)
         else:
             emit(idx, registers, amps)
 

@@ -1,6 +1,9 @@
 """Public API: the package exports exactly the union of its modules' __all__."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -84,3 +87,16 @@ def test_module_all_resolves_and_is_exported(modname):
     for name in module.__all__:
         assert getattr(qilab, name) is getattr(module, name)
     assert set(module.__all__) <= set(qilab.__all__)
+
+
+def test_import_qilab_loads_no_thread_pool_or_queue():
+    # area_law_scan imports concurrent.futures inside the call, so that
+    # importing the package, which every CLI run and benchmark set-up
+    # pays, does not load it (nor queue, which it pulls in)
+    src = os.path.dirname(os.path.dirname(qilab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, qilab; "
+            "print(sorted({'concurrent.futures', 'queue'} & sys.modules.keys()))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert out.stdout == "[]\n"

@@ -604,3 +604,12 @@ def test_sample_branches_faults_on_a_nan_drawn_branch():
         qstate._sample_branches(amps, (0,), np.ones(3))
     with pytest.raises(qstate.SimulationFault, match="probability nan"):
         qstate._sample_branches(amps, (0,), 1.0)
+
+
+def test_sample_branches_faults_on_a_nan_total():
+    # a NaN branch before a finite last one makes cum[-1] NaN, so every u
+    # draws the last branch, of probability 1, which passes the floor
+    amps = np.array([np.nan, 1.0], dtype=complex)
+    for u in (0.1, 0.9, np.array([0.1, 0.9])):
+        with pytest.raises(qstate.SimulationFault, match="^branch probabilities sum to nan$"):
+            qstate._sample_branches(amps, (0,), u)
