@@ -5,11 +5,20 @@ are the same on every run.  The circuit engine (`run_circuit` and
 `_run_shots`) is compared with the shot-by-shot loop of measure and
 apply_gate, registers and every shot's final amplitudes bit for bit;
 `sampled_chsh` is compared with the per-shot CHSH route, every field.
+
+tests/golden/render_random.txt holds the sha256 of render_circuit's
+diagram of each random circuit without a conditioned two-qubit gate,
+bare and then with the names of _wire_names, one per line.  Regenerate
+(only after an intended change to the diagrams) with
+
+    python tests/test_random_differential.py render
 """
 
 import dataclasses
 import functools
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +36,7 @@ N_CHSH = 100
 ONE_QUBIT = ("X", "Y", "Z", "H")
 PARAMETRIC = ("XPow", "YPow", "ZPow", "RPhi")
 TWO_QUBIT = ("CNOT", "CX", "CY", "CZ", "SWAP")
+RENDER_GOLDEN = Path(__file__).parent / "golden" / "render_random.txt"
 
 
 def _random_circuit(rng):
@@ -50,6 +60,26 @@ def _random_circuit(rng):
             condition = (reg, int(rng.integers(2 ** widths[reg])))
         c.add_gate(name, targets, params, condition=condition)
     return c
+
+
+def _wire_names(n):
+    """Names of three widths, so the prefixes are right-aligned."""
+    return ["w" * (q % 3 + 1) + str(q) for q in range(n)]
+
+
+def _render_digests(circuit):
+    renders = (qstate.render_circuit(circuit),
+               qstate.render_circuit(circuit, _wire_names(circuit.n_qubits)))
+    return [hashlib.sha256(art.encode()).hexdigest() for art in renders]
+
+
+def _rendered_circuits():
+    """The random circuits whose diagrams are frozen: those without a
+    conditioned two-qubit gate."""
+    circuits = [c for c, _, _ in _circuit_cases()[:N_RANDOM]]
+    return [c for c in circuits
+            if not any(isinstance(s, qstate.GateStep) and s.condition and s.gate.arity == 2
+                       for s in c.steps)]
 
 
 def _flip_chain(k):
@@ -98,8 +128,25 @@ def test_circuit_engine_matches_per_shot_loop(case):
     assert wrong == [] and len(got) == shots
 
 
+def test_render_random_circuits_matches_golden():
+    want = RENDER_GOLDEN.read_text().split()
+    circuits = _rendered_circuits()
+    assert len(want) == 2 * len(circuits)
+    wrong = [c.to_ops() for i, c in enumerate(circuits)
+             if _render_digests(c) != want[2 * i:2 * i + 2]]
+    assert wrong == []
+
+
 @pytest.mark.parametrize("case", range(N_CHSH))
 def test_sampled_chsh_matches_per_shot_route(case):
     settings, shots, seed = _chsh_cases()[case]
     got = dataclasses.astuple(bell.sampled_chsh(settings, shots, seed))
     assert got == _per_shot_chsh(settings, shots, seed)
+
+
+if __name__ == "__main__":
+    import sys
+
+    if sys.argv[1:] == ["render"]:
+        lines = [d for c in _rendered_circuits() for d in _render_digests(c)]
+        RENDER_GOLDEN.write_text("\n".join(lines) + "\n")
