@@ -253,11 +253,6 @@ def _delta_matrix(chol: np.ndarray, P: np.ndarray, m: int, s: int = 0) -> np.nda
     return np.negative(D, out=D)
 
 
-def _leading_entropy(chol: np.ndarray, P: np.ndarray, m: int) -> np.ndarray:
-    # entropy of the leading m sites of each stack
-    return _spectrum_entropy(np.linalg.eigvalsh(_delta_matrix(chol, P, m)))
-
-
 def subsystem_entropy(K: CouplingMatrix, keep) -> float:
     """Ground-state entanglement entropy (nats) of the oscillators in keep.
 
@@ -273,7 +268,8 @@ def subsystem_entropy(K: CouplingMatrix, keep) -> float:
     X, P = correlators(K)
     order = keep + sorted(set(range(K.n)) - set(keep))
     block = np.ix_(order, order)
-    return float(_leading_entropy(_cholesky(X[block]), P[block], len(keep)))
+    delta = _delta_matrix(_cholesky(X[block]), P[block], len(keep))
+    return float(_spectrum_entropy(np.linalg.eigvalsh(delta)))
 
 
 def _radial_stack(ls, N: int) -> np.ndarray:

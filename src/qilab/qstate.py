@@ -77,9 +77,6 @@ PAULI = {
 _I2, _X, _Y, _Z = (PAULI[k] for k in "1xyz")
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
 _SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
@@ -89,6 +86,9 @@ def _controlled(u: np.ndarray) -> np.ndarray:
     m = np.eye(4, dtype=complex)
     m[2:, 2:] = u
     return m
+
+
+_CNOT = _controlled(_X)
 
 
 def _pauli_sums(m: np.ndarray) -> np.ndarray:
@@ -143,13 +143,6 @@ class Gate:
         return "%s^%g" % (self.name[0], self.params[0])
 
 
-def _pow_gate(pauli: np.ndarray, name: str, t: float) -> Gate:
-    # exp(i * pauli * pi * t / 2); t=1 gives i*pauli, a global phase away
-    # from the bare Pauli
-    a = math.pi * float(t) / 2.0
-    return Gate(name, (float(t),), math.cos(a) * _I2 + 1j * math.sin(a) * pauli)
-
-
 _FIXED_GATES = {
     "X": _X, "Y": _Y, "Z": _Z, "H": _H,
     "CNOT": _CNOT, "CX": _CNOT,
@@ -180,8 +173,11 @@ def standard_gate(name: str, *params: float) -> Gate:
     t = _check_finite(f"gate {name} parameter", float(params[0]))
     if name == "RPhi":
         return Gate("RPhi", (t,), np.array([[1, 0], [0, np.exp(1j * t)]]))
+    # exp(i * pauli * pi * t / 2); t=1 gives i*pauli, a global phase away
+    # from the bare Pauli
     pauli = {"XPow": _X, "YPow": _Y, "ZPow": _Z}[name]
-    return _pow_gate(pauli, name, t)
+    a = math.pi * t / 2.0
+    return Gate(name, (t,), math.cos(a) * _I2 + 1j * math.sin(a) * pauli)
 
 
 # ---------------------------------------------------------------------------
@@ -729,59 +725,45 @@ def teleport(message_prep: tuple, deferred: bool, seed: int) -> TeleportResult:
 # ---------------------------------------------------------------------------
 # text rendering
 
+# the labels of a two-qubit gate's wires, in target order
+_PAIR_LABELS = {
+    "CNOT": ("@", "X"), "CX": ("@", "X"), "CY": ("@", "Y"),
+    "CZ": ("@", "@"), "SWAP": ("×", "×"),
+}
+
+
 def render_circuit(circuit: Circuit, wire_names: Optional[Sequence[str]] = None) -> str:
-    """Wire-diagram listing of a circuit (informational only)."""
+    """Wire-diagram listing of a circuit (informational only).  A condition
+    marks every wire of its gate: each of its labels gains "?register"."""
     n = circuit.n_qubits
+    wire_names = range(n) if wire_names is None else wire_names
+    if len(wire_names) != n:
+        raise ValueError("need one wire name per qubit")
     rows = 2 * n - 1  # wire rows interleaved with connector rows
     grid: list = [[] for _ in range(rows)]
     for step in circuit.steps:
-        col = [""] * rows
         if isinstance(step, MeasureStep):
-            top = min(step.qubits)
-            for q in step.qubits:
-                col[2 * q] = f"M({step.key!r})" if q == top else "M"
             qs = step.qubits
+            labels = [f"M({step.key!r})" if q == min(qs) else "M" for q in qs]
         else:
-            g = step.gate
-            labels = {
-                "CNOT": ("@", "X"), "CX": ("@", "X"), "CY": ("@", "Y"),
-                "CZ": ("@", "@"), "SWAP": ("×", "×"),
-            }
-            if g.arity == 2:
-                l0, l1 = labels.get(g.name, (g.label(), g.label()))
-                col[2 * step.targets[0]] = l0
-                col[2 * step.targets[1]] = l1
-            else:
-                lab = g.label()
-                if step.condition is not None:
-                    lab += "?%s" % step.condition[0]
-                col[2 * step.targets[0]] = lab
-            qs = step.targets
-        if len(qs) >= 2:
-            lo, hi = min(qs) * 2, max(qs) * 2
-            for r in range(lo + 1, hi):
-                col[r] = col[r] or ("┼" if r % 2 == 0 else "│")
-        width = max(len(s) for s in col)
-        for r in range(rows):
-            s = col[r]
-            if r % 2 == 0:
-                grid[r].append(s.ljust(width, "─") if s else "─" * width)
-            else:
-                grid[r].append(s.ljust(width) if s else " " * width)
+            qs, g = step.targets, step.gate
+            labels = _PAIR_LABELS.get(g.name, [g.label()] * g.arity)
+            if step.condition is not None:
+                labels = [f"{lab}?{step.condition[0]}" for lab in labels]
+        col = [""] * rows
+        for q, lab in zip(qs, labels):
+            col[2 * q] = lab
+        for r in range(2 * min(qs) + 1, 2 * max(qs)):
+            col[r] = col[r] or ("┼" if r % 2 == 0 else "│")
+        width = max(map(len, col))
+        for r, s in enumerate(col):
+            grid[r].append(s.ljust(width, "─" if r % 2 == 0 else " "))
+    prefix = [f"{name}: " for name in wire_names]
+    pw = max(map(len, prefix))
     lines = []
-    if wire_names is None:
-        prefix = [f"{q}: " for q in range(n)]
-    else:
-        if len(wire_names) != n:
-            raise ValueError("need one wire name per qubit")
-        prefix = [f"{name}: " for name in wire_names]
-    pw = max(len(p) for p in prefix)
     for r in range(rows):
         if r % 2 == 0:
-            head = prefix[r // 2].rjust(pw)
-            lines.append(head + "───" + "───".join(grid[r]) + "───")
-        else:
-            body = "   ".join(grid[r])
-            if body.strip():
-                lines.append(" " * pw + "   " + body + "   ")
+            lines.append(prefix[r // 2].rjust(pw) + "───" + "───".join(grid[r]) + "───")
+        elif "".join(grid[r]).strip():
+            lines.append(" " * pw + "   " + "   ".join(grid[r]) + "   ")
     return "\n".join(line.rstrip() for line in lines)

@@ -212,6 +212,29 @@ def test_projection_mismatch_with_closed_form_is_an_error(monkeypatch):
         lattice.schwinger_project(p)
 
 
+def test_gauss_violation_is_reported_and_rejected(monkeypatch):
+    _, *rest = lattice._S_COMPONENTS
+    bad = ((((0, 0, 0, 0), (0, 0, 0, 2)),), 1.0)
+    monkeypatch.setattr(lattice, "_S_COMPONENTS", (bad, *rest))
+    head = "s1 component (0, 0, 0, 0)/(0, 0, 0, 2): "
+    assert lattice.gauss_report() == [
+        head + "link 0 is 0, Gauss's law needs 2",
+        head + "link 3 is 2, Gauss's law needs 0",
+        head + "flux outside -1..1",
+        head + "sum l^2 >= 4",
+    ]
+    with pytest.raises(ValueError, match="^state construction violates Gauss's law: s1 "):
+        lattice.schwinger_project(lattice.SchwingerParams(0.5, 0.1))
+
+
+def test_repeated_state_is_not_orthonormal(monkeypatch):
+    s1, _, s3, s4 = lattice._S_COMPONENTS
+    monkeypatch.setattr(lattice, "_S_COMPONENTS", (s1, s1, s3, s4))
+    assert lattice.gauss_report() == []
+    with pytest.raises(ValueError, match="constructed states are not orthonormal"):
+        lattice.schwinger_project(lattice.SchwingerParams(0.5, 0.1))
+
+
 def test_projection_never_builds_the_full_space_operator():
     # one dense operator on the 16 x 81 fermion-flux space is 13 MB
     p = lattice.SchwingerParams(0.5, 0.1)

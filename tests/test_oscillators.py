@@ -366,7 +366,7 @@ def _area_law_scan_loop(N, l_max):
                             tuple(bool(a) for a in active), float(corner_bound))
 
 
-@pytest.mark.parametrize("N, l_max", [(12, 40), (30, 120), (12, 400)])
+@pytest.mark.parametrize("N, l_max", [(12, 40), (30, 120), (12, 400), (12, 1000)])
 def test_vectorised_l_sums_equal_the_term_by_term_loop(N, l_max):
     got = osc.area_law_scan(N, l_max)
     want = _area_law_scan_loop(N, l_max)
@@ -376,6 +376,10 @@ def test_vectorised_l_sums_equal_the_term_by_term_loop(N, l_max):
     if l_max == 400:
         # the tail test stops several radii before the cap here
         assert sum(not c for c in got.capped[1:-1]) >= 3
+    if l_max == 1000:
+        # every radius stops before the cap, so the scan runs out of radii
+        # (both of its early exits) well before l_max
+        assert not any(got.capped)
 
 
 @pytest.mark.parametrize("delta", [[math.nan, 0.1], [0.1, math.inf], [-math.inf]])

@@ -461,6 +461,16 @@ def test_render_bell_circuit_golden():
     ]
 
 
+def test_render_conditioned_cnot_marks_both_wires():
+    c = qstate.Circuit(3).add_measure([2], "m").add_gate("CNOT", [0, 1], condition=("m", 1))
+    assert qstate.render_circuit(c).splitlines() == [
+        "0: ────────────@?m───",
+        "               │",
+        "1: ────────────X?m───",
+        "2: ───M('m')─────────",
+    ]
+
+
 def test_render_wire_names():
     art = qstate.render_circuit(
         qstate.teleport_circuit(0.1, 0.2, deferred=True),
