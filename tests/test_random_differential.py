@@ -128,7 +128,7 @@ def test_circuit_engine_matches_per_shot_loop(case):
     assert wrong == [] and len(got) == shots
 
 
-def test_render_random_circuits_matches_golden():
+def test_render_random_circuits_match_golden():
     want = RENDER_GOLDEN.read_text().split()
     circuits = _rendered_circuits()
     assert len(want) == 2 * len(circuits)
