@@ -10,6 +10,7 @@ measurement protocol.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -135,13 +136,8 @@ def classical_bound_check() -> list:
     Each assignment (q, r, s, t) in {-1, +1}^4 yields exactly +/-2, so
     any convex mixture obeys |E_Bell| <= 2.
     """
-    values = []
-    for q in (-1, 1):
-        for r in (-1, 1):
-            for s in (-1, 1):
-                for t in (-1, 1):
-                    values.append(q * s + r * s + r * t - q * t)
-    return values
+    return [q * s + r * s + r * t - q * t
+            for q, r, s, t in itertools.product((-1, 1), repeat=4)]
 
 
 def _rotated_for_measurement(state: StateVector, gamma_a: float, gamma_b: float) -> StateVector:
@@ -186,36 +182,22 @@ def sampled_chsh(settings: ChshSettings, shots: int, seed: int) -> SampledChshRe
     picks = rng.integers(0, 4, size=shots)
     u = rng.random(shots)
     # A stable sort groups the shots by pair, each group in shot order, so
-    # pair k's uniforms are the slice lo:hi of u[order], in the order a mask
+    # pair k's uniforms are the k-th split of u[order], in the order a mask
     # picks == k would give them.
     order = np.argsort(picks.astype(np.uint8), kind="stable")
     counts = np.bincount(picks, minlength=4)
-    u = u[order]
-    sums = np.empty(4)
-    lo = 0
-    for k, state in enumerate(rotated):
-        hi = lo + counts[k]
-        _, branch = qstate._sample_branches(state.amplitudes.reshape(2, 2), (0, 1), u[lo:hi])
-        # the values are +-1, so the float sum is exact whatever the order
-        sums[k] = _PARITY[branch].sum()
-        lo = hi
-
     estimates = np.zeros(4)
-    errors = np.zeros(4)
-    for k in range(4):
-        if counts[k] == 0:
-            errors[k] = math.inf
-            continue
-        estimates[k] = sums[k] / counts[k]
-        errors[k] = math.sqrt(max(1.0 - estimates[k] ** 2, 0.0) / counts[k])
-    e_qs, e_qt, e_rs, e_rt = estimates
-    e_bell = e_qs + e_rs + e_rt - e_qt
-    se_bell = math.sqrt(float(np.sum(errors**2)))
-    return SampledChshResult(
-        e_qs, e_qt, e_rs, e_rt, e_bell, e_bell - 2.0,
-        errors[0], errors[1], errors[2], errors[3], se_bell,
-        tuple(int(c) for c in counts),
-    )
+    errors = np.full(4, math.inf)  # a pair with no shots keeps 0 +- inf
+    groups = np.split(u[order], np.cumsum(counts)[:-1])
+    for k, (state, n, uk) in enumerate(zip(rotated, counts, groups)):
+        _, branch = qstate._sample_branches(state.amplitudes.reshape(2, 2), (0, 1), uk)
+        if n:
+            # the values are +-1, so the float sum is exact whatever the order
+            estimates[k] = _PARITY[branch].sum() / n
+            errors[k] = math.sqrt(max(1.0 - estimates[k] ** 2, 0.0) / n)
+    e = ChshResult.from_expectations(*estimates)
+    return SampledChshResult(*vars(e).values(), *errors, math.sqrt(float(np.sum(errors**2))),
+                             tuple(int(c) for c in counts))
 
 
 def violation_curve(alphas) -> list:

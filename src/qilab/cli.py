@@ -285,8 +285,7 @@ def _hermite(args: argparse.Namespace) -> dict:
             "phi_q_squared": [[c, "".join(f)]
                               for c, f in fieldinfo.phi_q_squared.terms],
         },
-        "fidelity": [{"level": r.level, "max_error": r.max_error,
-                      "infidelity": r.infidelity} for r in reports],
+        "fidelity": [r._asdict() for r in reports],
     }
     return _emit_table(args, columns, table, extra=payload)
 

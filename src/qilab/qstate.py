@@ -498,7 +498,11 @@ class Circuit:
         gate = standard_gate(name, *params)
         targets = _check_targets(gate, targets, self.n_qubits)
         if condition is not None:
-            reg, val = condition
+            try:
+                reg, val = condition
+            except (TypeError, ValueError):
+                raise ValueError(f"condition must be a (register, value) pair, "
+                                 f"got {condition!r}") from None
             if reg not in self._registers:
                 raise ValueError(f"condition register {reg!r} not measured earlier")
             width = self._registers[reg]
@@ -541,9 +545,8 @@ class Circuit:
             if "measure" in op:
                 c.add_measure(op["measure"], op["key"])
             elif "gate" in op:
-                cond = op.get("condition")
                 c.add_gate(op["gate"], op["targets"], op.get("params", ()),
-                           condition=tuple(cond) if cond else None)
+                           condition=op.get("condition"))
             else:
                 raise ValueError(f"unrecognized op {op!r}")
         return c

@@ -132,3 +132,62 @@ def test_size_limits_are_checked_before_allocating(name, call):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+_MIXED = density.DensityMatrix(np.eye(4, dtype=complex) / 4)
+_COIN = info.Distribution([0.5, 0.5])
+_NOISE = info.BitFlipNoise(0.9)
+
+# (case, the whole message, call) for the rejections that no table above
+# reaches: each is a ValueError raised at the boundary it names
+_REJECTIONS = [
+    ("optimal_settings-alpha", "alpha must lie in [0, pi/2], got 2.0",
+     lambda: bell.optimal_settings(2.0)),
+    ("pure_state-condition", "cannot strip measurements feeding a condition",
+     lambda: cli._pure_state(qstate.teleport_circuit(0.1, 0.2, False))),
+    ("mutual_information-whole", "partition must be a nonempty proper subset",
+     lambda: density.mutual_information(_MIXED, [0, 1])),
+    ("bloch_ball_analysis-2-qubit", "bloch_ball_analysis takes a single-qubit state",
+     lambda: density.bloch_ball_analysis(_MIXED)),
+    ("OperatorString-empty", "factors must be nonempty",
+     lambda: dynamics.OperatorString(1.0, ())),
+    ("build_hamiltonian-empty", "a Hamiltonian needs at least one term",
+     lambda: dynamics.build_hamiltonian([])),
+    ("Distribution-empty", "probabilities must be a nonempty 1-d array",
+     lambda: info.Distribution([])),
+    ("Distribution-2-d", "probabilities must be a nonempty 1-d array",
+     lambda: info.Distribution([[1.0]])),
+    ("readout_distribution-1-outcome", "expected a binary distribution over {0, 1}",
+     lambda: info.readout_distribution(info.Distribution([1.0]), _NOISE)),
+    ("bayes_posterior-y", "y must be 0 or 1, got 2",
+     lambda: info.bayes_posterior(_COIN, _NOISE, y=2)),
+    ("cholesky-indefinite", "X sub-block lost positive-definiteness",
+     lambda: osc._cholesky(np.array([[-1.0]]))),
+    ("fit_area_coefficient-empty", "no samples inside the fit range",
+     lambda: osc.fit_area_coefficient([(1.0, 0.1)], 0.5)),
+    ("fit_area_coefficient-degenerate", "degenerate fit range",
+     lambda: osc.fit_area_coefficient([(0.0, 0.0)], 1.0)),
+    ("Gate-3x3", "gate matrix must be 2x2 or 4x4, got (3, 3)",
+     lambda: qstate.Gate("G", (), np.eye(3))),
+    ("standard_gate-X-param", "gate X takes no parameters",
+     lambda: qstate.standard_gate("X", 0.5)),
+    ("standard_gate-unknown", "unknown gate 'T'", lambda: qstate.standard_gate("T")),
+    ("standard_gate-XPow-bare", "gate XPow takes exactly one parameter",
+     lambda: qstate.standard_gate("XPow")),
+    ("apply_gate-arity", "gate CNOT wants 2 targets, got 1",
+     lambda: qstate.apply_gate(qstate.StateVector.zeros(2), qstate.standard_gate("CNOT"), [0])),
+    ("add_measure-repeated-key", "register 'm' already used",
+     lambda: qstate.Circuit(2).add_measure([0], "m").add_measure([1], "m")),
+    ("from_ops-unknown-op", "unrecognized op {'reset': [0]}",
+     lambda: qstate.Circuit.from_ops(1, [{"reset": [0]}])),
+    ("render_circuit-wire-names", "need one wire name per qubit",
+     lambda: qstate.render_circuit(_FLIP, ["a", "b"])),
+]
+
+
+@pytest.mark.parametrize("message, call", [
+    pytest.param(message, call, id=case) for case, message, call in _REJECTIONS])
+def test_bad_inputs_are_rejected_with_their_message(message, call):
+    with pytest.raises(ValueError) as got:
+        call()
+    assert str(got.value) == message

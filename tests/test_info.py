@@ -13,6 +13,10 @@ def test_distribution_validation():
         info.Distribution([1.5, -0.5])  # negative mass
 
 
+def test_distribution_repr_lists_the_probabilities():
+    assert repr(info.Distribution([0.25, 0.75])) == "Distribution([0.25, 0.75])"
+
+
 def test_shannon_entropy_reference_points():
     assert info.shannon_entropy(info.Distribution([0.5, 0.5])) == \
         pytest.approx(1.0, abs=1e-12)

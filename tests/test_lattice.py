@@ -282,6 +282,15 @@ def test_ground_state_matches_power_iteration_oracle():
         assert amps[np.argmax(np.abs(amps))] >= 0.0
 
 
+@pytest.mark.parametrize("x", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("mu", [-1.0, 0.1, 1.0])
+def test_ground_state_leading_amplitude_is_nonnegative(x, mu):
+    # eigh's eigenvector sign depends on the LAPACK kernel, so this asserts
+    # the convention's postcondition, whichever sign eigh returned
+    amps = lattice.schwinger_ground_state(lattice.SchwingerParams(x, mu)).amplitudes
+    assert amps[np.argmax(np.abs(amps))] >= 0.0
+
+
 def test_schwinger_evolution_conserves_probability():
     p = lattice.SchwingerParams(x=0.5, mu=0.1)
     series = lattice.schwinger_evolve(p, np.linspace(0.0, 10.0, 200))

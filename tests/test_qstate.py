@@ -623,3 +623,15 @@ def test_sample_branches_faults_on_a_nan_total():
     for u in (0.1, 0.9, np.array([0.1, 0.9])):
         with pytest.raises(qstate.SimulationFault, match="^branch probabilities sum to nan$"):
             qstate._sample_branches(amps, (0,), u)
+
+
+@pytest.mark.parametrize("condition", [[], 0, "", ["m"], ["m", 1, 2]],
+                         ids=["empty-list", "zero", "empty-string", "one-item", "three-items"])
+def test_from_ops_rejects_a_condition_that_is_not_a_pair(condition):
+    # a falsy condition is malformed too, not a missing one: the gate must
+    # not be built unconditioned
+    ops = [{"measure": [0], "key": "m"}, {"gate": "X", "targets": [1], "condition": condition}]
+    with pytest.raises(ValueError, match=r"^condition must be "):
+        qstate.Circuit.from_ops(2, ops)
+    with pytest.raises(ValueError, match=r"^condition must be "):
+        qstate.Circuit(2).add_measure([0], "m").add_gate("X", [1], condition=condition)
