@@ -4,7 +4,8 @@ Each bad value must be a ValueError whose message starts with the
 argument's name.  Integer arguments refuse NaN, inf, True and 2.5;
 finite ones NaN and both infinities; positive ones NaN and -inf (inf is
 the zero-temperature limit of beta_omega, so it passes); time grids
-refuse a NaN or infinite time.
+refuse a NaN or infinite time.  The last table holds every other
+rejection in src/, each with its whole message.
 """
 
 import math
