@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import entropy_bits
-from .qstate import _check_int
+from .qstate import _check_int, _is_int
 
 __all__ = [
     "Distribution",
@@ -103,7 +103,7 @@ def bayes_posterior(prior: Distribution, noise: BitFlipNoise, y: int) -> Distrib
     Zero-probability evidence (P(y) = 0) is an error.
     """
     _require_binary(prior)
-    if y not in (0, 1):
+    if not (_is_int(y) and y in (0, 1)):
         raise ValueError(f"y must be 0 or 1, got {y!r}")
     mu = noise.mu
     likelihood = np.array([mu, 1.0 - mu]) if y == 0 else np.array([1.0 - mu, mu])

@@ -467,24 +467,25 @@ def area_law_scan(N: int, l_max: int) -> EntropyCurve:
     returns or raises, computes the second stack of a round for the
     radii active at the start of the round while the calling thread
     computes the first; an exception of either stack comes out of the
-    call unchanged, the helper's through Future.result().  A radius's
-    terms do not depend on the other radii of its batch, so every field
-    is bit for bit that of one stack at a time on one thread.  On a quiet
-    2-core VM with one BLAS thread, (60, 300) takes about 0.2 s of wall
-    time and 0.3 s of CPU time, against about 0.27 s of each one stack
-    at a time, and (200, 1000), acceptance criterion 8, about 6 s
-    against 10 s.  The helper competes with a multi-threaded BLAS for
-    the cores: under OpenBLAS's default threads criterion 8 took 14.7 s
-    against 10.9 s, so set OPENBLAS_NUM_THREADS=1 for the scan.
+    call unchanged, the helper's through Future.result().  The round's
+    l-channels are then added to the running sums in one accumulation.
+    A radius's terms do not depend on the other radii of its batch, so
+    every field is bit for bit that of one stack at a time on one
+    thread.  On a quiet 2-core VM with one BLAS thread, (60, 300) takes
+    about 0.2 s of wall time and 0.3 s of CPU time, against about 0.27 s
+    of each one stack at a time, and (200, 1000), acceptance criterion
+    8, about 6 s against 10 s.  The helper competes with a multi-threaded
+    BLAS for the cores: under OpenBLAS's default threads criterion 8
+    took 14.7 s against 10.9 s, so set OPENBLAS_NUM_THREADS=1 for the
+    scan.
 
     The l-sum for each radius stops once the geometric tail estimate
     term * rho/(1 - rho) (rho the consecutive term ratio) falls below
     1e-3 of the running sum, or at the hard cap l_max (reported per
     radius in l_stop and capped); terms are accumulated in ascending l
-    for determinism, and the terms of a stack past a radius's stop,
-    including the helper's rows for a radius that stopped in the
-    round's first stack, are dropped.  The endpoints r = 1/2 (keep
-    everything, pure state) and r = R (keep nothing) are exactly 0.
+    for determinism, and the terms of a round past a radius's stop are
+    dropped.  The endpoints r = 1/2 (keep everything, pure state) and
+    r = R (keep nothing) are exactly 0, with no l_stop.
     fit_lambda fits S = lambda r^2 over r < 0.975 R.  N must lie in
     10..600 and l_max in 1..10^5 (_MAX_SCAN_N, _MAX_SCAN_L), checked
     before anything is allocated.
@@ -513,22 +514,16 @@ def area_law_scan(N: int, l_max: int) -> EntropyCurve:
             second = [helper.submit(_shell_terms, ls, N, radii) for ls in stacks[1:]]
             computed = [_shell_terms(stacks[0], N, radii)]
             computed += [future.result() for future in second]
-            for ls, (entropies, bounds) in zip(stacks, computed):
-                # the rows of radii that stopped in the round's first
-                # stack are dropped, like the terms of a stack past a stop
-                keep = active[radii]
-                if not keep.any():
-                    break
-                rows = radii[keep]
-                terms = (2 * ls + 1) * entropies[keep]
-                S[rows], prev[rows], l_stop[rows], stopped = _accumulate(
-                    S[rows], prev[rows], ls, terms)
-                active[rows[stopped]] = False
-                summed = ls <= l_stop[rows, None]
-                corner_bound = max(corner_bound, float(bounds[keep][summed].max()))
+            # cumsum runs left to right over the joined row: one stack at a time's bits
+            ls = np.concatenate(stacks)
+            entropies, bounds = (np.concatenate(part, axis=1) for part in zip(*computed))
+            S[radii], prev[radii], l_stop[radii], stopped = _accumulate(
+                S[radii], prev[radii], ls, (2 * ls + 1) * entropies)
+            active[radii[stopped]] = False
+            corner_bound = max(corner_bound, float(bounds[ls <= l_stop[radii, None]].max()))
     r = np.arange(N + 1) + 0.5
     samples = tuple((float(rv), float(sv)) for rv, sv in zip(r, S))
     lam = fit_area_coefficient(samples, _FIT_FRACTION * (N + 0.5))
     return EntropyCurve(N, l_max, samples, _FIT_FRACTION, lam,
-                        tuple(int(l) if l >= 0 else None for l in l_stop),
+                        (None, *l_stop[1:-1].tolist(), None),
                         tuple(bool(a) for a in active), float(corner_bound))

@@ -498,27 +498,29 @@ class Circuit:
         gate = standard_gate(name, *params)
         targets = _check_targets(gate, targets, self.n_qubits)
         if condition is not None:
-            try:
-                reg, val = condition
-            except (TypeError, ValueError):
+            if not (isinstance(condition, (tuple, list)) and len(condition) == 2
+                    and isinstance(condition[0], str)):
                 raise ValueError(f"condition must be a (register, value) pair, "
-                                 f"got {condition!r}") from None
+                                 f"got {condition!r}")
+            reg, val = condition
             if reg not in self._registers:
                 raise ValueError(f"condition register {reg!r} not measured earlier")
             width = self._registers[reg]
             if not (_is_int(val) and 0 <= val < 2**width):
                 raise ValueError(f"condition value {val!r} can never match "
                                  f"the {width}-bit register {reg!r}")
-            condition = (str(reg), int(val))
+            condition = (reg, int(val))
         self.steps.append(GateStep(gate, targets, condition))
         return self
 
     def add_measure(self, qubits: Sequence[int], key: str) -> "Circuit":
         qubits = _check_qubits(qubits, self.n_qubits, "measured qubit")
+        if not isinstance(key, str):
+            raise ValueError(f"register key must be a string, got {key!r}")
         if key in self._registers:
             raise ValueError(f"register {key!r} already used")
         self._registers[key] = len(qubits)
-        self.steps.append(MeasureStep(qubits, str(key)))
+        self.steps.append(MeasureStep(qubits, key))
         return self
 
     def register_widths(self) -> dict:

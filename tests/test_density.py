@@ -123,6 +123,11 @@ def test_pure_state_entropy_zero():
     assert density.von_neumann_entropy(rho).entropy_bits == 0.0
 
 
+def test_pure_spectrum_entropy_is_positive_zero():
+    # -(1 log2 1 + 0) is -0.0 before the fold
+    assert math.copysign(1.0, density.entropy_bits([1.0, 0.0])) == 1.0
+
+
 def test_entropy_clamp_window():
     ok = density.DensityMatrix(np.diag([1 + 5e-11, -5e-11]), check_psd=False)
     assert density.von_neumann_entropy(ok).entropy_bits == 0.0

@@ -409,6 +409,14 @@ def test_swap_demo_range_check():
         dynamics.swap_measurement_demo(2.5, 10, 0)
 
 
+def test_swap_demo_interval_is_closed_at_2():
+    # X^2 is the identity, so the swapped qubit reads 0 on every shot
+    rec, corr = dynamics.swap_measurement_demo(2.0, 10, 0)
+    assert rec.qubit_stream("q0", 0) == "0" * 10 and corr == 0.0
+    with pytest.raises(ValueError, match=r"^t must lie in \[0, 2\], got 2\.0000000000000004$"):
+        dynamics.swap_measurement_demo(math.nextafter(2.0, 3.0), 10, 0)
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_times_are_rejected(t):
     h = dynamics.measurement_hamiltonian()

@@ -81,6 +81,14 @@ def test_bayes_zero_evidence_rejected():
         info.bayes_posterior(prior, noise, 1)
 
 
+@pytest.mark.parametrize("y", [True, False, 1.0, 0.0])
+def test_bayes_posterior_rejects_a_bool_or_float_readout(y):
+    # True == 1 and 0.0 == 0, but a readout is an integer bit
+    prior = info.Distribution([0.3, 0.7])
+    with pytest.raises(ValueError, match=rf"^y must be 0 or 1, got {y!r}$"):
+        info.bayes_posterior(prior, info.BitFlipNoise(0.9), y)
+
+
 def test_information_never_hurts_on_average():
     # expected posterior entropy <= prior entropy across a parameter grid
     for p0 in np.linspace(0.05, 0.95, 10):

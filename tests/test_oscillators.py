@@ -326,6 +326,19 @@ def test_area_law_scan_reports_its_corner_bound():
     assert osc._CORNER_TOL <= 1e-14
 
 
+def test_corner_bound_covers_the_terms_up_to_each_stop(monkeypatch):
+    # bounds that grow with l make corner_bound name the largest l summed
+    shell_terms = osc._shell_terms
+
+    def growing_bounds(ls, N, j_maxes):
+        entropies, bounds = shell_terms(ls, N, j_maxes)
+        return entropies, np.broadcast_to(ls * 1e-20, bounds.shape)
+
+    monkeypatch.setattr(osc, "_shell_terms", growing_bounds)
+    curve = osc.area_law_scan(12, 40)
+    assert curve.corner_bound == max(curve.l_stop[1:-1]) * 1e-20
+
+
 def _area_law_scan_loop(N, l_max):
     """Reference: area_law_scan with the term-by-term l-sum loop it had
     before the accumulation was vectorised, on the same stacked terms."""
@@ -576,6 +589,13 @@ def test_c_form_half_guard_at_its_tolerance(lo, accepted):
 def test_tfd_theta_zero_is_outside_the_open_interval(build):
     with pytest.raises(ValueError, match=r"^theta must lie strictly inside \(0, pi/2\), got 0\.0$"):
         build(0.0)
+
+
+@pytest.mark.parametrize("build", [osc.tfd_pair, osc.tfd_coupling], ids=["pair", "coupling"])
+def test_tfd_theta_pi_over_2_is_outside_the_open_interval(build):
+    # cos(pi/2) is 6e-17, not 0, so only the interval check stops it
+    with pytest.raises(ValueError, match=r"^theta must lie strictly inside \(0, pi/2\), got 1\.5707963267948966$"):
+        build(math.pi / 2)
 
 
 def test_a_zero_eigenvalue_is_not_positive_definite():

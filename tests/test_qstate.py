@@ -635,3 +635,24 @@ def test_from_ops_rejects_a_condition_that_is_not_a_pair(condition):
         qstate.Circuit.from_ops(2, ops)
     with pytest.raises(ValueError, match=r"^condition must be "):
         qstate.Circuit(2).add_measure([0], "m").add_gate("X", [1], condition=condition)
+
+
+@pytest.mark.parametrize("key", [5, None], ids=["int", "none"])
+def test_add_measure_rejects_a_register_key_that_is_not_a_string(key):
+    # str(5) and "5" would name one register at run time
+    with pytest.raises(ValueError, match=rf"^register key must be a string, got {key!r}$"):
+        qstate.Circuit(2).add_measure([0], key)
+    with pytest.raises(ValueError, match=rf"^register key must be a string, got {key!r}$"):
+        qstate.Circuit.from_ops(2, [{"measure": [0], "key": key}])
+
+
+@pytest.mark.parametrize("condition, shown", [
+    ([["m"], 1], r"\[\['m'\], 1\]"), ("m1", "'m1'"), ((5, 1), r"\(5, 1\)")],
+    ids=["list-register", "string", "int-register"])
+def test_a_condition_register_must_be_a_string(condition, shown):
+    ops = [{"measure": [0], "key": "m"}, {"gate": "X", "targets": [1], "condition": condition}]
+    message = rf"^condition must be a \(register, value\) pair, got {shown}$"
+    with pytest.raises(ValueError, match=message):
+        qstate.Circuit.from_ops(2, ops)
+    with pytest.raises(ValueError, match=message):
+        qstate.Circuit(2).add_measure([0], "m").add_gate("X", [1], condition=condition)
