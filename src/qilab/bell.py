@@ -84,7 +84,7 @@ class SampledChshResult(ChshResult):
 
 def entangled_state(alpha: float) -> StateVector:
     """Two-qubit state cos(alpha)|00> + sin(alpha)|11>."""
-    if not 0.0 <= alpha <= math.pi / 2:
+    if not (qstate._is_real(alpha) and 0.0 <= alpha <= math.pi / 2):
         raise ValueError(f"alpha must lie in [0, pi/2], got {alpha}")
     return StateVector(2, [math.cos(alpha), 0.0, 0.0, math.sin(alpha)])
 
@@ -112,7 +112,7 @@ def optimal_settings(alpha: float):
     boundary the maximum degenerates to 2 (no violation) and is still
     returned.
     """
-    if not 0.0 <= alpha <= math.pi / 2:
+    if not (qstate._is_real(alpha) and 0.0 <= alpha <= math.pi / 2):
         raise ValueError(f"alpha must lie in [0, pi/2], got {alpha}")
     s2a = math.sin(2.0 * alpha)
     norm = math.sqrt(1.0 + s2a * s2a)

@@ -72,9 +72,7 @@ def _transcript(args: argparse.Namespace, records: dict, lines) -> str:
 def _bloch_text(bv) -> str:
     parts = []
     for axis, v in zip("xyz", bv):
-        v = round(float(v), 4)
-        if v == 0.0:
-            v = 0.0  # normalize -0.0
+        v = round(float(v), 4) + 0.0  # fold -0.0
         parts.append(f"{axis}:  {v!r}")
     return "  ".join(parts)
 
@@ -209,8 +207,7 @@ def _decohere(args: argparse.Namespace) -> dict:
 
 
 def _matrix_payload(m: np.ndarray) -> dict:
-    return {"re": [[float(v.real) for v in row] for row in m],
-            "im": [[float(v.imag) for v in row] for row in m]}
+    return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
 def _kraus(args: argparse.Namespace) -> dict:
@@ -318,7 +315,10 @@ def _t_max(default: float) -> tuple:
     return (("--t-max", float, default, "end of the time grid"),)
 
 
-# name -> (help, handler, flags as (flag, type, default, help))
+# the commands whose handler writes its table through _emit_table
+_TABLE = (("--format", str, "csv", "table file format", "csv", "json"),)
+
+# name -> (help, handler, flags as (flag, type, default, help, *choices))
 _COMMANDS = {
     "experiment1": ("flip one qubit and measure it repeatedly",
                     _experiment1, _sampling(10)),
@@ -332,25 +332,25 @@ _COMMANDS = {
     "experiment5": ("teleport a state with deferred measurement",
                     functools.partial(_teleport_transcript, deferred=True),
                     _sampling(1)),
-    "coinflip": ("biased-coin entropy curve (CSV)", _coinflip, ()),
-    "rabi": ("two-qubit exchange-model time series (CSV)",
-             _rabi, _t_max(2.0 * math.pi)),
-    "decohere": ("three-qubit decoherence time series (CSV)",
-                 _decohere, _t_max(20.0)),
+    "coinflip": ("biased-coin entropy curve", _coinflip, _TABLE),
+    "rabi": ("two-qubit exchange-model time series",
+             _rabi, _TABLE + _t_max(2.0 * math.pi)),
+    "decohere": ("three-qubit decoherence time series",
+                 _decohere, _TABLE + _t_max(20.0)),
     "kraus": ("Kraus P-matrices and entropy at t=1 (JSON)", _kraus, ()),
-    "chsh": ("Bell-violation and entropy curve over alpha (CSV)", _chsh, (
+    "chsh": ("Bell-violation and entropy curve over alpha", _chsh, _TABLE + (
         ("--alpha", float, None,
          "single preparation angle (radians); omit for the full curve"),)),
-    "tfd": ("thermofield-double entropy versus theta (CSV)", _tfd, (
+    "tfd": ("thermofield-double entropy versus theta", _tfd, _TABLE + (
         ("--theta", float, None,
          "single mixing angle (radians); omit for the full curve"),)),
-    "arealaw": ("oscillator-lattice entropy scan and area fit", _arealaw, (
+    "arealaw": ("oscillator-lattice entropy scan and area fit", _arealaw, _TABLE + (
         ("--n", int, 60, "lattice sites"),
         ("--lmax", int, 300, "angular-momentum cutoff"))),
-    "hermite": ("eigenfunction table and sampling-fidelity report", _hermite, (
+    "hermite": ("eigenfunction table and sampling-fidelity report", _hermite, _TABLE + (
         ("--nq", int, 3, "qubits per field site"),)),
     "schwinger": ("truncated gauge-model evolution and ground state",
-                  _schwinger, (
+                  _schwinger, _TABLE + (
                       ("--x", float, 0.5, "hopping coupling 1/(ag)^2"),
                       ("--mu", float, 0.1, "mass coupling 2m/(ag^2)"),
                   ) + _t_max(10.0)),
@@ -377,10 +377,9 @@ def _build_parser() -> argparse.ArgumentParser:
             formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.set_defaults(handler=handler)
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"),
-                       default="csv", help="table file format")
-        for flag, kind, default, text in flags:
-            p.add_argument(flag, type=kind, default=default, help=text)
+        for flag, kind, default, text, *choices in flags:
+            p.add_argument(flag, type=kind, default=default, help=text,
+                           choices=choices or None)
     return parser
 
 

@@ -108,11 +108,10 @@ def build_hamiltonian(terms) -> HamiltonianSpec:
     for term in terms:
         if not isinstance(term, OperatorString):
             coeff, factors = term
-            term = OperatorString(complex(coeff), tuple(factors))
+            term = OperatorString(complex(qstate._check_finite("coefficient", coeff)),
+                                  tuple(factors))
         strings.append(term)
-    if not strings:
-        raise ValueError("a Hamiltonian needs at least one term")
-    return HamiltonianSpec(len(strings[0].factors), tuple(strings))
+    return HamiltonianSpec(len(strings[0].factors) if strings else 0, tuple(strings))
 
 
 def dense(h: HamiltonianSpec) -> np.ndarray:
@@ -327,7 +326,7 @@ def swap_measurement_demo(t: float, shots: int, seed: int):
     qubits are measured.  The sample correlation between the q0 and q1
     registers is 0.0 by convention when either register is constant.
     """
-    if not 0.0 <= t <= 2.0:
+    if not (qstate._is_real(t) and 0.0 <= t <= 2.0):
         raise ValueError(f"t must lie in [0, 2], got {t}")
     record = qstate.run_circuit(qstate.exchange_circuit(t), shots, seed)
     q0 = np.array([int(b) for b in record.registers["q0"]], dtype=float)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import entropy_bits
-from .qstate import _check_int, _is_int
+from .qstate import _check_int, _is_int, _is_real
 
 __all__ = [
     "Distribution",
@@ -69,10 +69,10 @@ class BitFlipNoise:
     mu: float
 
     def __post_init__(self) -> None:
-        mu = float(self.mu)
-        if not 0.5 <= mu <= 1.0:
+        mu = self.mu
+        if not (_is_real(mu) and 0.5 <= mu <= 1.0):
             raise ValueError(f"mu must lie in [1/2, 1], got {mu}")
-        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "mu", float(mu))
 
 
 def shannon_entropy(dist: Distribution) -> float:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import _check_indices, _check_int, _check_positive, _is_int
+from .qstate import _check_finite, _check_indices, _check_int, _check_positive, _is_int, _is_real
 
 __all__ = [
     "CouplingMatrix",
@@ -80,7 +80,7 @@ def thermal_entropy(beta_omega: float) -> float:
     rounds to 1, where the Boltzmann form has no value: both raise
     ArithmeticError naming beta*omega.
     """
-    bw = _check_positive("beta_omega", float(beta_omega))
+    bw = float(_check_positive("beta_omega", beta_omega))
     x = math.exp(-bw)
     if x == 1.0:
         raise ArithmeticError(f"closed forms have no value at beta*omega={bw}: "
@@ -99,7 +99,7 @@ def thermal_entropy(beta_omega: float) -> float:
 
 def partition_function(beta_omega: float) -> float:
     """Z = 1/(2 sinh(bw/2)), the closed form of the geometric series."""
-    bw = _check_positive("beta_omega", float(beta_omega))
+    bw = float(_check_positive("beta_omega", beta_omega))
     return 1.0 / (2.0 * math.sinh(bw / 2.0))
 
 
@@ -123,9 +123,9 @@ def tfd_pair(theta: float, omega: float = 1.0) -> TfdPair:
     small-(1 - tan^2(theta/2)) expansion -log(eps) + 1 - eps/2, which
     captures the logarithmic divergence as theta -> pi/2.
     """
-    if not 0.0 < theta < math.pi / 2:
+    if not (_is_real(theta) and 0.0 < theta < math.pi / 2):
         raise ValueError(f"theta must lie strictly inside (0, pi/2), got {theta}")
-    _check_positive("omega", omega)
+    _check_positive("omega", _check_finite("omega", omega))
     sin, cos = math.sin(theta), math.cos(theta)
     omega_plus = omega * (1.0 + sin) / cos
     omega_minus = omega * (1.0 - sin) / cos
@@ -148,9 +148,9 @@ def tfd_coupling(theta: float, omega: float = 1.0) -> CouplingMatrix:
     K = omega^2 [[1 + 2 tan^2 t, 2 tan t / cos t], [sym, same]]; its
     eigenvalues are omega_pm^2.
     """
-    if not 0.0 < theta < math.pi / 2:
+    if not (_is_real(theta) and 0.0 < theta < math.pi / 2):
         raise ValueError(f"theta must lie strictly inside (0, pi/2), got {theta}")
-    _check_positive("omega", omega)
+    _check_positive("omega", _check_finite("omega", omega))
     tan, cos = math.tan(theta), math.cos(theta)
     diag = 1.0 + 2.0 * tan**2
     off = 2.0 * tan / cos

@@ -4,8 +4,10 @@ Each bad value must be a ValueError whose message starts with the
 argument's name.  Integer arguments refuse NaN, inf, True and 2.5;
 finite ones NaN and both infinities; positive ones NaN and -inf (inf is
 the zero-temperature limit of beta_omega, so it passes); time grids
-refuse a NaN or infinite time.  The last table holds every other
-rejection in src/, each with its whole message.
+refuse a NaN or infinite time.  The rejection table holds every other
+rejection in src/, each with its whole message.  Every real argument,
+the interval-checked ones included, also refuses True and "0.5", and
+every positive one 0.0.
 """
 
 import math
@@ -192,3 +194,33 @@ def test_bad_inputs_are_rejected_with_their_message(message, call):
     with pytest.raises(ValueError) as got:
         call()
     assert str(got.value) == message
+
+
+# (case, argument name, call) for each real argument: the finite and
+# positive rows of _ARGUMENTS, a gate parameter read from JSON, and the
+# six interval guards, whose message names the interval
+_REALS = [(case, name, call) for case, name, values, call in _ARGUMENTS
+          if values is NON_FINITE or values is NON_POSITIVE] + [
+    ("standard_gate-RPhi", "gate RPhi parameter", lambda v: qstate.standard_gate("RPhi", v)),
+    ("from_ops", "gate XPow parameter",
+     lambda v: qstate.Circuit.from_ops(1, [{"gate": "XPow", "targets": [0], "params": [v]}])),
+    ("entangled_state", "alpha", lambda v: bell.entangled_state(v)),
+    ("optimal_settings", "alpha", lambda v: bell.optimal_settings(v)),
+    ("tfd_pair-theta", "theta", lambda v: osc.tfd_pair(v)),
+    ("tfd_coupling-theta", "theta", lambda v: osc.tfd_coupling(v)),
+    ("swap_measurement_demo", "t", lambda v: dynamics.swap_measurement_demo(v, 2, 1)),
+    ("BitFlipNoise", "mu", lambda v: info.BitFlipNoise(v)),
+]
+
+
+@pytest.mark.parametrize("name, call, value", [
+    pytest.param(name, call, value, id=f"{case}-{value!r}")
+    for case, name, call in _REALS for value in (True, "0.5")] + [
+    pytest.param(name, call, 0.0, id=f"{case}-0.0")
+    for case, name, values, call in _ARGUMENTS if values is NON_POSITIVE] + [
+    pytest.param("t_max", cli._time_grid, 0.0, id="time_grid-0.0")])
+def test_a_bool_or_a_string_is_not_a_real_number(name, call, value):
+    # True would pass as 1.0 and "0.5" as 0.5 if read through float();
+    # 0.0 is the edge of the positive rule
+    with pytest.raises(ValueError, match=rf"^{name} must"):
+        call(value)

@@ -440,3 +440,44 @@ def test_chsh_alpha_summary_reports_the_violation(tmp_path, capsys, alpha):
     summary = json.loads(capsys.readouterr().out)
     want = 2.0 * math.sqrt(1.0 + math.sin(2.0 * alpha) ** 2) - 2.0
     assert summary["violation"] == pytest.approx(want, abs=1e-12)
+
+
+# each subcommand's options, -h excluded: --format only where the handler
+# writes its table through _emit_table
+_OPTIONS = {
+    **{f"experiment{k}": {"--out", "--seed", "--shots"} for k in range(1, 6)},
+    "coinflip": {"--out", "--format"},
+    "rabi": {"--out", "--format", "--t-max"},
+    "decohere": {"--out", "--format", "--t-max"},
+    "kraus": {"--out"},
+    "chsh": {"--out", "--format", "--alpha"},
+    "tfd": {"--out", "--format", "--theta"},
+    "arealaw": {"--out", "--format", "--n", "--lmax"},
+    "hermite": {"--out", "--format", "--nq"},
+    "schwinger": {"--out", "--format", "--x", "--mu", "--t-max"},
+}
+
+
+def test_each_subcommand_takes_only_the_options_its_handler_reads():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {name: {flag: action for action in p._actions for flag in action.option_strings
+                  if flag not in ("-h", "--help")}
+           for name, p in sub.choices.items()}
+    assert {name: set(flags) for name, flags in got.items()} == _OPTIONS
+    assert sum(map(len, _OPTIONS.values())) == 42
+    for flags in got.values():
+        if "--format" in flags:
+            assert flags["--format"].choices == ["csv", "json"]
+            assert flags["--format"].default == "csv"
+
+
+@pytest.mark.parametrize("name", ["kraus"] + [f"experiment{k}" for k in range(1, 6)])
+def test_format_is_refused_where_no_table_is_written(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    assert cli.main([name, "--format", "json", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ArgumentError", "message": "unrecognized arguments: --format json"}
+    assert not out.exists()

@@ -598,6 +598,13 @@ def test_tfd_theta_pi_over_2_is_outside_the_open_interval(build):
         build(math.pi / 2)
 
 
+@pytest.mark.parametrize("build", [osc.tfd_pair, osc.tfd_coupling], ids=["pair", "coupling"])
+def test_tfd_omega_inf_is_rejected_by_both_constructors(build):
+    # inf passes the positive rule, so omega is read through the finite one first
+    with pytest.raises(ValueError, match=r"^omega must be finite, got inf$"):
+        build(1.0, omega=math.inf)
+
+
 def test_a_zero_eigenvalue_is_not_positive_definite():
     # eigh gives exactly 0.0 for diag(0, 1), the boundary of both checks
     K = np.diag([0.0, 1.0])

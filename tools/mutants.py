@@ -9,11 +9,12 @@ never written.  Each comparison operator in the named functions (in the
 whole module when none are named) is flipped in turn: < and <=, > and >=,
 == and !=, in and not in, is and is not.  The copy's module is rewritten
 with ast.unparse and the test files run there with pytest -x.  A mutant
-whose tests still pass survived, and is printed with its line.  An
-unmutated ast.unparse round trip runs first and must pass.  A test run
-that outlasts TIMEOUT seconds counts as killed.  Exit status: 0 when every
-mutant was killed, 1 when one survived, 2 when the round trip failed.
-Standard library only.
+whose tests still pass survived, and is printed as module:line:column
+(the column of the flipped operator's left operand) with the source of
+its comparison.  An unmutated ast.unparse round trip runs first and must
+pass.  A test run that outlasts TIMEOUT seconds counts as killed.  Exit
+status: 0 when every mutant was killed, 1 when one survived, 2 when the
+round trip failed.  Standard library only.
 """
 
 from __future__ import annotations
@@ -97,7 +98,6 @@ def main(argv=None) -> int:
     module = Path(args.module).resolve().relative_to(ROOT)
     source = (ROOT / module).read_text()
     tree = ast.parse(source)
-    lines = source.splitlines()
     todo = sites(tree, args.functions)
 
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
@@ -116,8 +116,10 @@ def main(argv=None) -> int:
             node.ops[i] = op
             flip = f"{SYMBOL[type(op)]} -> {SYMBOL[FLIP[type(op)]]}"
             if run_tests(copy, args.tests):
-                survivors.append(f"{module}:{node.lineno} [{name}] {flip}: "
-                                 f"{lines[node.lineno - 1].strip()}")
+                left = node.left if i == 0 else node.comparators[i - 1]
+                text = " ".join(ast.get_source_segment(source, node).split())
+                survivors.append(f"{module}:{left.lineno}:{left.col_offset + 1} [{name}] "
+                                 f"{flip}: {text}")
 
     print(f"{len(todo)} comparison sites, {len(todo) - len(survivors)} killed, "
           f"{len(survivors)} survived")
