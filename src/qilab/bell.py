@@ -43,7 +43,7 @@ class ChshSettings:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "beta_prime"):
-            qstate._check_finite(name, getattr(self, name))
+            qstate._check_real(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ class SampledChshResult(ChshResult):
 def entangled_state(alpha: float) -> StateVector:
     """Two-qubit state cos(alpha)|00> + sin(alpha)|11>."""
     if not (qstate._is_real(alpha) and 0.0 <= alpha <= math.pi / 2):
-        raise ValueError(f"alpha must lie in [0, pi/2], got {alpha}")
+        raise ValueError(f"alpha must lie in [0, pi/2], got {alpha!r}")
     return StateVector(2, [math.cos(alpha), 0.0, 0.0, math.sin(alpha)])
 
 
@@ -113,7 +113,7 @@ def optimal_settings(alpha: float):
     returned.
     """
     if not (qstate._is_real(alpha) and 0.0 <= alpha <= math.pi / 2):
-        raise ValueError(f"alpha must lie in [0, pi/2], got {alpha}")
+        raise ValueError(f"alpha must lie in [0, pi/2], got {alpha!r}")
     s2a = math.sin(2.0 * alpha)
     norm = math.sqrt(1.0 + s2a * s2a)
     beta = math.atan2(s2a / norm, 1.0 / norm)

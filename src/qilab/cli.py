@@ -172,7 +172,7 @@ def _coinflip(args: argparse.Namespace) -> dict:
 
 
 def _time_grid(t_max: float) -> np.ndarray:
-    qstate._check_positive("t_max", qstate._check_finite("t_max", t_max))
+    qstate._check_positive("t_max", qstate._check_real("t_max", t_max))
     return np.linspace(0.0, t_max, 400)
 
 

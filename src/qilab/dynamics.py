@@ -144,7 +144,7 @@ def from_dense(matrix) -> HamiltonianSpec:
 
 def propagator(h: HamiltonianSpec, t: float) -> np.ndarray:
     """U(t) = exp(-i H t) through the Hermitian eigendecomposition."""
-    qstate._check_finite("time", t)
+    qstate._check_real("time", t)
     if t == 0.0:
         return np.eye(2**h.n_qubits, dtype=complex)
     evals, vecs = np.linalg.eigh(dense(h))
@@ -327,7 +327,7 @@ def swap_measurement_demo(t: float, shots: int, seed: int):
     registers is 0.0 by convention when either register is constant.
     """
     if not (qstate._is_real(t) and 0.0 <= t <= 2.0):
-        raise ValueError(f"t must lie in [0, 2], got {t}")
+        raise ValueError(f"t must lie in [0, 2], got {t!r}")
     record = qstate.run_circuit(qstate.exchange_circuit(t), shots, seed)
     q0 = np.array([int(b) for b in record.registers["q0"]], dtype=float)
     q1 = np.array([int(b) for b in record.registers["q1"]], dtype=float)

@@ -71,7 +71,7 @@ class BitFlipNoise:
     def __post_init__(self) -> None:
         mu = self.mu
         if not (_is_real(mu) and 0.5 <= mu <= 1.0):
-            raise ValueError(f"mu must lie in [1/2, 1], got {mu}")
+            raise ValueError(f"mu must lie in [1/2, 1], got {mu!r}")
         object.__setattr__(self, "mu", float(mu))
 
 

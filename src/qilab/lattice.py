@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import (PAULI, StateVector, _apply_local, _check_finite, _check_int, _check_times,
+from .qstate import (PAULI, StateVector, _apply_local, _check_int, _check_real, _check_times,
                      _pauli_sums)
 
 __all__ = [
@@ -210,8 +210,8 @@ class SchwingerParams:
     mu: float
 
     def __post_init__(self):
-        _check_finite("x", self.x)
-        _check_finite("mu", self.mu)
+        _check_real("x", self.x)
+        _check_real("mu", self.mu)
 
 
 def schwinger_h4(params: SchwingerParams) -> np.ndarray:

@@ -14,12 +14,13 @@ approximation -log(eps) + 1 - eps/2, and the fitted area-law constant
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import _check_finite, _check_indices, _check_int, _check_positive, _is_int, _is_real
+from .qstate import _check_indices, _check_int, _check_positive, _check_real, _is_int, _is_real
 
 __all__ = [
     "CouplingMatrix",
@@ -124,8 +125,8 @@ def tfd_pair(theta: float, omega: float = 1.0) -> TfdPair:
     captures the logarithmic divergence as theta -> pi/2.
     """
     if not (_is_real(theta) and 0.0 < theta < math.pi / 2):
-        raise ValueError(f"theta must lie strictly inside (0, pi/2), got {theta}")
-    _check_positive("omega", _check_finite("omega", omega))
+        raise ValueError(f"theta must lie strictly inside (0, pi/2), got {theta!r}")
+    _check_positive("omega", _check_real("omega", omega))
     sin, cos = math.sin(theta), math.cos(theta)
     omega_plus = omega * (1.0 + sin) / cos
     omega_minus = omega * (1.0 - sin) / cos
@@ -149,8 +150,8 @@ def tfd_coupling(theta: float, omega: float = 1.0) -> CouplingMatrix:
     eigenvalues are omega_pm^2.
     """
     if not (_is_real(theta) and 0.0 < theta < math.pi / 2):
-        raise ValueError(f"theta must lie strictly inside (0, pi/2), got {theta}")
-    _check_positive("omega", _check_finite("omega", omega))
+        raise ValueError(f"theta must lie strictly inside (0, pi/2), got {theta!r}")
+    _check_positive("omega", _check_real("omega", omega))
     tan, cos = math.tan(theta), math.cos(theta)
     diag = 1.0 + 2.0 * tan**2
     off = 2.0 * tan / cos
@@ -162,6 +163,11 @@ def tfd_coupling(theta: float, omega: float = 1.0) -> CouplingMatrix:
 # numpy calls of area_law_scan(60, 300) for 0.6 MB more peak memory,
 # and 32 would add about 3.7 MB more.
 _L_STACK = 16
+
+# stacks area_law_scan's calling thread may compute past the next one to
+# add while that one still runs on the helper: with a slow helper, at
+# most this many stacks and the helper's one are computed past the last stop
+_AHEAD = 2
 
 # area_law_scan's size limits.  Its traced peak is about 10 arrays of
 # 16 x N x N floats, 1.3 kB x N^2 (measured at N = 60..400 with two
@@ -462,28 +468,33 @@ def area_law_scan(N: int, l_max: int) -> EntropyCurve:
     full result; corner_bound reports the largest such bound over the
     terms summed.
 
-    The stacks go in rounds of two.  A one-worker ThreadPoolExecutor,
-    made per call and shut down (its thread joined) before the call
-    returns or raises, computes the second stack of a round for the
-    radii active at the start of the round while the calling thread
-    computes the first; an exception of either stack comes out of the
-    call unchanged, the helper's through Future.result().  The round's
-    l-channels are then added to the running sums in one accumulation.
-    A radius's terms do not depend on the other radii of its batch, so
+    The stacks run on two threads, the calling thread and the helper of
+    a one-worker ThreadPoolExecutor, made per call and shut down (its
+    thread joined) before the call returns or raises.  The calling
+    thread computes stack 0 and the helper stack 1; from then on each
+    thread claims the lowest unclaimed stack as soon as it is free, for
+    the radii still active at the claim.  The calling thread adds the
+    stacks to the running sums in ascending l; while the next one still
+    runs on the helper it computes stacks of its own, at most _AHEAD
+    past it.  Claiming stops once every radius has stopped or either
+    thread has raised, and an exception of either thread comes out of
+    the call unchanged, the helper's through Future.result().  The
+    active radii only shrink, so each stack's rows cover every radius
+    still active when it is added, and the rest are dropped.  A
+    radius's terms do not depend on the other radii of its batch, so
     every field is bit for bit that of one stack at a time on one
     thread.  On a quiet 2-core VM with one BLAS thread, (60, 300) takes
-    about 0.2 s of wall time and 0.3 s of CPU time, against about 0.27 s
-    of each one stack at a time, and (200, 1000), acceptance criterion
-    8, about 6 s against 10 s.  The helper competes with a multi-threaded
-    BLAS for the cores: under OpenBLAS's default threads criterion 8
-    took 14.7 s against 10.9 s, so set OPENBLAS_NUM_THREADS=1 for the
-    scan.
+    about 0.18 s of wall time, against 0.21 s in rounds of two stacks
+    and 0.27 s one stack at a time, and (200, 1000), acceptance
+    criterion 8, about 5.3 s against 6.2 and 10 s.  The helper competes
+    with a multi-threaded BLAS for the cores, so set
+    OPENBLAS_NUM_THREADS=1 for the scan.
 
     The l-sum for each radius stops once the geometric tail estimate
     term * rho/(1 - rho) (rho the consecutive term ratio) falls below
     1e-3 of the running sum, or at the hard cap l_max (reported per
     radius in l_stop and capped); terms are accumulated in ascending l
-    for determinism, and the terms of a round past a radius's stop are
+    for determinism, and the terms of a stack past a radius's stop are
     dropped.  The endpoints r = 1/2 (keep everything, pure state) and
     r = R (keep nothing) are exactly 0, with no l_stop.
     fit_lambda fits S = lambda r^2 over r < 0.975 R.  N must lie in
@@ -500,27 +511,76 @@ def area_law_scan(N: int, l_max: int) -> EntropyCurve:
     corner_bound = 0.0
     active = np.ones(N + 1, dtype=bool)
     active[0] = active[N] = False  # exact zeros at both endpoints
+    radii = np.nonzero(active)[0]
+    stacks = [np.arange(l0, min(l0 + _L_STACK, l_max + 1))
+              for l0 in range(0, l_max + 1, _L_STACK)]
+    done = {}  # computed stacks not yet added: index -> (radii, entropies, bounds)
+    free = 0  # the lowest unclaimed stack
+    lock = threading.Condition()
+
+    def claim(limit):
+        # with lock held: the lowest unclaimed stack below limit and the
+        # radii active now, or None
+        nonlocal free
+        if free >= min(limit, len(stacks)) or radii.size == 0:
+            return None
+        free += 1
+        return free - 1, radii
+
+    def compute(task):
+        i, rows = task
+        return i, (rows, *_shell_terms(stacks[i], N, rows))
+
+    def ahead(i):
+        # with lock held: a stack for the calling thread while stack i is not computed
+        return None if i in done else claim(i + 1 + _AHEAD)
+
+    def helper_loop(task):
+        while task is not None:
+            i, result = compute(task)
+            with lock:  # store and claim in one step, so a stop cannot fall between
+                done[i] = result
+                lock.notify()
+                task = claim(len(stacks))
+
+    def wake(_):
+        with lock:
+            lock.notify()
+
     # here, not at the top: it would add to `import qilab`
     from concurrent.futures import ThreadPoolExecutor
 
     # the with block joins the helper, also when a stack raises
-    with ThreadPoolExecutor(1, thread_name_prefix="area_law_scan helper") as helper:
-        for l0 in range(0, l_max + 1, 2 * _L_STACK):
-            radii = np.nonzero(active)[0]
-            if radii.size == 0:
-                break
-            stacks = [np.arange(a, min(a + _L_STACK, l_max + 1))
-                      for a in (l0, l0 + _L_STACK) if a <= l_max]
-            second = [helper.submit(_shell_terms, ls, N, radii) for ls in stacks[1:]]
-            computed = [_shell_terms(stacks[0], N, radii)]
-            computed += [future.result() for future in second]
-            # cumsum runs left to right over the joined row: one stack at a time's bits
-            ls = np.concatenate(stacks)
-            entropies, bounds = (np.concatenate(part, axis=1) for part in zip(*computed))
-            S[radii], prev[radii], l_stop[radii], stopped = _accumulate(
-                S[radii], prev[radii], ls, (2 * ls + 1) * entropies)
-            active[radii[stopped]] = False
-            corner_bound = max(corner_bound, float(bounds[ls <= l_stop[radii, None]].max()))
+    with ThreadPoolExecutor(1, thread_name_prefix="area_law_scan helper") as pool:
+        task = claim(1)  # stack 0 on this thread, stack 1 on the helper
+        helper = pool.submit(helper_loop, claim(2))
+        helper.add_done_callback(wake)  # so that no wait outlasts the helper
+        try:
+            for i, ls in enumerate(stacks):
+                while task is not None:
+                    j, result = compute(task)
+                    with lock:
+                        done[j] = result
+                        task = ahead(i)
+                with lock:
+                    lock.wait_for(lambda: i in done or helper.done())
+                # the helper's exception, unchanged, if it ended without stack i
+                rows, entropies, bounds = done.pop(i, None) or helper.result()
+                keep = np.isin(rows, radii)
+                S[radii], prev[radii], l_stop[radii], stopped = _accumulate(
+                    S[radii], prev[radii], ls, (2 * ls + 1) * entropies[keep])
+                active[radii[stopped]] = False
+                summed = ls <= l_stop[radii, None]
+                corner_bound = max(corner_bound, float(bounds[keep][summed].max()))
+                with lock:
+                    radii = np.nonzero(active)[0]
+                    task = ahead(i + 1)
+                if radii.size == 0:
+                    break
+        finally:
+            with lock:
+                free = len(stacks)  # no claims once this thread stops or raises
+    helper.result()  # also a helper's exception on a stack past the last one added
     r = np.arange(N + 1) + 0.5
     samples = tuple((float(rv), float(sv)) for rv, sv in zip(r, S))
     lam = fit_area_coefficient(samples, _FIT_FRACTION * (N + 0.5))

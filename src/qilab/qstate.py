@@ -170,7 +170,7 @@ def standard_gate(name: str, *params: float) -> Gate:
         raise ValueError(f"unknown gate {name!r}")
     if len(params) != 1:
         raise ValueError(f"gate {name} takes exactly one parameter")
-    t = float(_check_finite(f"gate {name} parameter", params[0]))
+    t = float(_check_real(f"gate {name} parameter", params[0]))
     if name == "RPhi":
         return Gate("RPhi", (t,), np.array([[1, 0], [0, np.exp(1j * t)]]))
     # exp(i * pauli * pi * t / 2); t=1 gives i*pauli, a global phase away
@@ -258,8 +258,16 @@ def _check_dim(name: str, m: np.ndarray, lo: int) -> int:
     return dim.bit_length() - 1
 
 
+def _check_real(name: str, value):
+    """A real number: not a bool, a string or a complex; NaN and +-inf fail."""
+    if not (_is_real(value) and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def _check_finite(name: str, value):
-    """A real or complex number, not a bool; NaN and +-inf fail."""
+    """A real or complex number, not a bool; NaN and +-inf fail (for
+    Hamiltonian coefficients: every real argument takes _check_real)."""
     if isinstance(value, bool) or not (isinstance(value, (float, numbers.Complex))
                                        and cmath.isfinite(value)):
         raise ValueError(f"{name} must be finite, got {value!r}")

@@ -224,3 +224,28 @@ def test_a_bool_or_a_string_is_not_a_real_number(name, call, value):
     # 0.0 is the edge of the positive rule
     with pytest.raises(ValueError, match=rf"^{name} must"):
         call(value)
+
+
+@pytest.mark.parametrize("name, call", [
+    pytest.param(name, call, id=case) for case, name, call in _REALS if name != "coefficient"])
+def test_a_complex_number_is_not_a_real_number(name, call):
+    # only a Hamiltonian coefficient may be complex: 1j as a time would
+    # make exp(-iHt) non-unitary
+    with pytest.raises(ValueError, match=rf"^{name} must"):
+        call(1j)
+
+
+@pytest.mark.parametrize("message, call", [
+    ("alpha must lie in [0, pi/2], got '0.5'", lambda: bell.entangled_state("0.5")),
+    ("alpha must lie in [0, pi/2], got '0.5'", lambda: bell.optimal_settings("0.5")),
+    ("theta must lie strictly inside (0, pi/2), got '0.5'", lambda: osc.tfd_pair("0.5")),
+    ("theta must lie strictly inside (0, pi/2), got '0.5'", lambda: osc.tfd_coupling("0.5")),
+    ("t must lie in [0, 2], got '0.5'", lambda: dynamics.swap_measurement_demo("0.5", 2, 1)),
+    ("mu must lie in [1/2, 1], got '0.7'", lambda: info.BitFlipNoise("0.7")),
+], ids=["entangled_state", "optimal_settings", "tfd_pair", "tfd_coupling",
+        "swap_measurement_demo", "BitFlipNoise"])
+def test_an_interval_message_quotes_a_string(message, call):
+    # unquoted, "0.7" would read as a value inside the interval
+    with pytest.raises(ValueError) as got:
+        call()
+    assert str(got.value) == message

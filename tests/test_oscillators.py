@@ -2,6 +2,7 @@
 
 import math
 import threading
+import time
 import tracemalloc
 import types
 
@@ -521,6 +522,96 @@ def test_area_law_scan_leaves_no_thread_behind(monkeypatch):
         osc.area_law_scan(60, 40)
     assert [thread for thread, _ in raised] == [threading.current_thread()]
     assert threading.active_count() == before
+
+
+def _scheduled_shell_terms(monkeypatch, helper_delay=0.0, caller_delay=0.0, fail_at=None,
+                           helper_waits=False):
+    # _shell_terms, slowed by a sleep on the helper or on the calling
+    # thread and raising on the stack numbered fail_at; records the stack
+    # number and whether the helper took it, at the start of each call.
+    # With helper_waits, the helper's stack k also waits, for at most 2 s,
+    # until the calling thread has started stack k + _AHEAD
+    shell_terms = osc._shell_terms
+    caller = threading.current_thread()
+    calls = []
+
+    def scheduled(ls, N, j_maxes):
+        on_helper = threading.current_thread() is not caller
+        k = int(ls[0]) // osc._L_STACK
+        calls.append((k, on_helper))
+        if k == fail_at:
+            raise ValueError(f"stack {fail_at}")
+        deadline = time.monotonic() + 2.0
+        while (helper_waits and on_helper and (k + osc._AHEAD, False) not in calls
+               and time.monotonic() < deadline):
+            time.sleep(0.001)
+        time.sleep(helper_delay if on_helper else caller_delay)
+        return shell_terms(ls, N, j_maxes)
+
+    monkeypatch.setattr(osc, "_shell_terms", scheduled)
+    return calls
+
+
+def _assert_equals_the_loop(got, want):
+    for name in ("samples", "l_stop", "capped", "corner_bound", "fit_lambda"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got == want
+
+
+@pytest.mark.parametrize("N, l_max", [(12, 150), (60, 300)])
+def test_a_slow_helper_leaves_the_calling_thread_computing_ahead(monkeypatch, N, l_max):
+    # while the helper's stack runs, the calling thread computes the next
+    # _AHEAD stacks and then waits, so the helper takes every third stack;
+    # both scans run to their last stack, so no wait runs out
+    want = _area_law_scan_loop(N, l_max)
+    calls = _scheduled_shell_terms(monkeypatch, helper_waits=True)
+    _assert_equals_the_loop(osc.area_law_scan(N, l_max), want)
+    assert sorted(i for i, _ in calls) == list(range(len(calls)))
+    assert [i for i, on_helper in calls if on_helper] == list(
+        range(1, len(calls), osc._AHEAD + 1))
+
+
+def test_a_slow_calling_thread_leaves_the_helper_taking_stacks_in_a_row(monkeypatch):
+    want = _area_law_scan_loop(12, 150)
+    calls = _scheduled_shell_terms(monkeypatch, caller_delay=0.05)
+    _assert_equals_the_loop(osc.area_law_scan(12, 150), want)
+    assert (0, False) in calls
+    assert [i for i, on_helper in calls if on_helper][:3] == [1, 2, 3]
+
+
+def test_a_scan_of_one_stack_runs_on_the_calling_thread(monkeypatch):
+    # l_max < _L_STACK: there is no stack for the helper
+    want = _area_law_scan_loop(12, 10)
+    calls = _scheduled_shell_terms(monkeypatch)
+    _assert_equals_the_loop(osc.area_law_scan(12, 10), want)
+    assert calls == [(0, False)]
+
+
+def test_a_slow_helper_computes_at_most_the_window_past_the_last_stop(monkeypatch):
+    # every radius stops by l = 684, in stack 42.  The calling thread
+    # computes stacks 41 and 42 while the helper runs 40; the helper claims
+    # 43 as it hands 40 in, before 42 is added, and nothing more is claimed
+    want = _area_law_scan_loop(12, 1000)
+    calls = _scheduled_shell_terms(monkeypatch, helper_delay=0.05)
+    got = osc.area_law_scan(12, 1000)
+    _assert_equals_the_loop(got, want)
+    last = max(got.l_stop[1:-1]) // osc._L_STACK
+    assert last == 42 and not any(got.capped)
+    assert sorted(i for i, _ in calls) == list(range(len(calls)))
+    assert len(calls) == last + 2 <= last + 1 + osc._AHEAD + 1
+
+
+@pytest.mark.parametrize("fail_at, computed", [(0, [0, 1]), (1, [0, 1, 2, 3])],
+                         ids=["calling-thread", "helper"])
+def test_claims_stop_once_a_thread_raises(monkeypatch, fail_at, computed):
+    # stack 0 fails at once and the helper's stack 1 takes 0.1 s: the
+    # helper claims nothing after it.  Stack 1 fails at once on the
+    # helper: the calling thread computes stacks 2 and 3, _AHEAD past it,
+    # and then raises the helper's exception
+    calls = _scheduled_shell_terms(monkeypatch, helper_delay=0.1, fail_at=fail_at)
+    with pytest.raises(ValueError, match=f"^stack {fail_at}$"):
+        osc.area_law_scan(12, 1000)
+    assert sorted(i for i, _ in calls) == computed
 
 
 @pytest.mark.parametrize("name, args", [

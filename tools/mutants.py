@@ -12,7 +12,9 @@ with ast.unparse and the test files run there with pytest -x.  A mutant
 whose tests still pass survived, and is printed as module:line:column
 (the column of the flipped operator's left operand) with the source of
 its comparison.  An unmutated ast.unparse round trip runs first and must
-pass.  A test run that outlasts TIMEOUT seconds counts as killed.  Exit
+pass; each mutant's test run then gets SLOWDOWN times the round trip's
+time, and at least FLOOR seconds, and one that outlasts it, such as a
+mutant that hangs, counts as killed.  Exit
 status: 0 when every mutant was killed, 1 when one survived, 2 when the
 round trip failed.  Standard library only.
 """
@@ -26,6 +28,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,7 +41,11 @@ SYMBOL = {
     ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
     ast.NotEq: "!=", ast.In: "in", ast.NotIn: "not in", ast.Is: "is", ast.IsNot: "is not",
 }
-TIMEOUT = 600.0  # seconds for one test run; guards against a mutant that never ends
+ROUND_TRIP_TIMEOUT = 600.0  # seconds for the unmutated test run
+# a mutant's test run may take SLOWDOWN times the unmutated one, and at
+# least FLOOR seconds, before it counts as killed, so a mutant that hangs
+# costs about a minute
+SLOWDOWN, FLOOR = 10.0, 60.0
 SKIP = shutil.ignore_patterns(".git", ".perfbench_runs", "__pycache__", ".pytest_cache",
                               "*.egg-info")
 
@@ -73,13 +80,13 @@ def sites(tree: ast.Module, functions: list[str]):
     return sorted(found, key=lambda s: (s[1].lineno, s[1].col_offset, s[2]))
 
 
-def run_tests(copy: Path, tests: list[str]) -> bool:
-    """True when the test files pass in `copy`; a timeout counts as a failure."""
+def run_tests(copy: Path, tests: list[str], timeout: float) -> bool:
+    """True when the test files pass in `copy` within `timeout` seconds."""
     # no bytecode: a mutant of the same size and mtime could reuse a stale .pyc
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
-        done = subprocess.run(cmd, cwd=copy, env=env, timeout=TIMEOUT,
+        done = subprocess.run(cmd, cwd=copy, env=env, timeout=timeout,
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     except subprocess.TimeoutExpired:
         return False
@@ -105,9 +112,11 @@ def main(argv=None) -> int:
         shutil.copytree(ROOT, copy, ignore=SKIP)
         target = copy / module
         target.write_text(ast.unparse(tree) + "\n")
-        if not run_tests(copy, args.tests):
+        start = time.perf_counter()
+        if not run_tests(copy, args.tests, ROUND_TRIP_TIMEOUT):
             print("mutants: the unmutated ast.unparse round trip fails its tests")
             return 2
+        timeout = max(SLOWDOWN * (time.perf_counter() - start), FLOOR)
         survivors = []
         for name, node, i in todo:
             op = node.ops[i]
@@ -115,7 +124,7 @@ def main(argv=None) -> int:
             target.write_text(ast.unparse(tree) + "\n")
             node.ops[i] = op
             flip = f"{SYMBOL[type(op)]} -> {SYMBOL[FLIP[type(op)]]}"
-            if run_tests(copy, args.tests):
+            if run_tests(copy, args.tests, timeout):
                 left = node.left if i == 0 else node.comparators[i - 1]
                 text = " ".join(ast.get_source_segment(source, node).split())
                 survivors.append(f"{module}:{left.lineno}:{left.col_offset + 1} [{name}] "
