@@ -211,7 +211,7 @@ def violation_curve(alphas) -> list:
     Each row is the same, bit for bit, as the per-state route through
     from_statevector, partial_trace and von_neumann_entropy.
     """
-    alphas = np.asarray(alphas, dtype=float)
+    alphas = qstate._check_real_array("alphas", alphas, "a one-dimensional sequence of angles")
     if alphas.ndim != 1:
         raise ValueError(f"alphas must be a one-dimensional sequence of angles, "
                          f"got shape {alphas.shape}")

@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import (PAULI, StateVector, _apply_local, _check_int, _check_real, _check_times,
-                     _pauli_sums)
+from .qstate import (PAULI, StateVector, _apply_local, _check_int, _check_real,
+                     _check_real_array, _check_times, _pauli_sums)
 
 __all__ = [
     "PauliDecomposition",
@@ -124,6 +124,7 @@ def hermite_eigenfunction(n: int, x):
     verified stable range.
     """
     n = _check_int("level", n, 0, 60)
+    x = _check_real_array("x", x, "a real number or an array of real numbers")
     return next(itertools.islice(_hermite_levels(x), n, None))
 
 

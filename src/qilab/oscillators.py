@@ -14,7 +14,6 @@ approximation -log(eps) + 1 - eps/2, and the fitted area-law constant
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -164,10 +163,9 @@ def tfd_coupling(theta: float, omega: float = 1.0) -> CouplingMatrix:
 # and 32 would add about 3.7 MB more.
 _L_STACK = 16
 
-# stacks area_law_scan's calling thread may compute past the next one to
-# add while that one still runs on the helper: with a slow helper, at
-# most this many stacks and the helper's one are computed past the last stop
-_AHEAD = 2
+# stacks area_law_scan keeps submitted to its two workers: two run while
+# one waits, and at most two are computed past the last one added
+_IN_FLIGHT = 3
 
 # area_law_scan's size limits.  Its traced peak is about 10 arrays of
 # 16 x N x N floats, 1.3 kB x N^2 (measured at N = 60..400 with two
@@ -468,27 +466,24 @@ def area_law_scan(N: int, l_max: int) -> EntropyCurve:
     full result; corner_bound reports the largest such bound over the
     terms summed.
 
-    The stacks run on two threads, the calling thread and the helper of
-    a one-worker ThreadPoolExecutor, made per call and shut down (its
-    thread joined) before the call returns or raises.  The calling
-    thread computes stack 0 and the helper stack 1; from then on each
-    thread claims the lowest unclaimed stack as soon as it is free, for
-    the radii still active at the claim.  The calling thread adds the
-    stacks to the running sums in ascending l; while the next one still
-    runs on the helper it computes stacks of its own, at most _AHEAD
-    past it.  Claiming stops once every radius has stopped or either
-    thread has raised, and an exception of either thread comes out of
-    the call unchanged, the helper's through Future.result().  The
-    active radii only shrink, so each stack's rows cover every radius
-    still active when it is added, and the rest are dropped.  A
-    radius's terms do not depend on the other radii of its batch, so
-    every field is bit for bit that of one stack at a time on one
-    thread.  On a quiet 2-core VM with one BLAS thread, (60, 300) takes
-    about 0.18 s of wall time, against 0.21 s in rounds of two stacks
-    and 0.27 s one stack at a time, and (200, 1000), acceptance
-    criterion 8, about 5.3 s against 6.2 and 10 s.  The helper competes
-    with a multi-threaded BLAS for the cores, so set
-    OPENBLAS_NUM_THREADS=1 for the scan.
+    The stacks are computed by the two workers of a ThreadPoolExecutor,
+    made per call and shut down (both threads joined) before the call
+    returns or raises.  The calling thread computes nothing: it keeps
+    _IN_FLIGHT = 3 stacks submitted, each for the radii active when it
+    is submitted, and adds them to the running sums in ascending l as
+    they finish.  Two stacks run while one waits, so a worker that is
+    free starts the next stack at once, and at most two stacks are
+    computed past the last one added.  A worker's exception on a stack
+    the scan adds comes out of the call unchanged through
+    Future.result(), and the stacks still queued are cancelled; the
+    results of stacks past the last one added are not read, since one
+    stack at a time would not compute them.  The active radii only
+    shrink, so each stack's rows cover every radius still active when it
+    is added, and the rest are dropped.  A radius's terms do not depend
+    on the other radii of its batch, so every field is bit for bit that
+    of one stack at a time on one thread.  The workers compete with a
+    multi-threaded BLAS for the cores, so set OPENBLAS_NUM_THREADS=1 for
+    the scan.
 
     The l-sum for each radius stops once the geometric tail estimate
     term * rho/(1 - rho) (rho the consecutive term ratio) falls below
@@ -514,73 +509,30 @@ def area_law_scan(N: int, l_max: int) -> EntropyCurve:
     radii = np.nonzero(active)[0]
     stacks = [np.arange(l0, min(l0 + _L_STACK, l_max + 1))
               for l0 in range(0, l_max + 1, _L_STACK)]
-    done = {}  # computed stacks not yet added: index -> (radii, entropies, bounds)
-    free = 0  # the lowest unclaimed stack
-    lock = threading.Condition()
-
-    def claim(limit):
-        # with lock held: the lowest unclaimed stack below limit and the
-        # radii active now, or None
-        nonlocal free
-        if free >= min(limit, len(stacks)) or radii.size == 0:
-            return None
-        free += 1
-        return free - 1, radii
-
-    def compute(task):
-        i, rows = task
-        return i, (rows, *_shell_terms(stacks[i], N, rows))
-
-    def ahead(i):
-        # with lock held: a stack for the calling thread while stack i is not computed
-        return None if i in done else claim(i + 1 + _AHEAD)
-
-    def helper_loop(task):
-        while task is not None:
-            i, result = compute(task)
-            with lock:  # store and claim in one step, so a stop cannot fall between
-                done[i] = result
-                lock.notify()
-                task = claim(len(stacks))
-
-    def wake(_):
-        with lock:
-            lock.notify()
 
     # here, not at the top: it would add to `import qilab`
     from concurrent.futures import ThreadPoolExecutor
 
-    # the with block joins the helper, also when a stack raises
-    with ThreadPoolExecutor(1, thread_name_prefix="area_law_scan helper") as pool:
-        task = claim(1)  # stack 0 on this thread, stack 1 on the helper
-        helper = pool.submit(helper_loop, claim(2))
-        helper.add_done_callback(wake)  # so that no wait outlasts the helper
-        try:
-            for i, ls in enumerate(stacks):
-                while task is not None:
-                    j, result = compute(task)
-                    with lock:
-                        done[j] = result
-                        task = ahead(i)
-                with lock:
-                    lock.wait_for(lambda: i in done or helper.done())
-                # the helper's exception, unchanged, if it ended without stack i
-                rows, entropies, bounds = done.pop(i, None) or helper.result()
-                keep = np.isin(rows, radii)
-                S[radii], prev[radii], l_stop[radii], stopped = _accumulate(
-                    S[radii], prev[radii], ls, (2 * ls + 1) * entropies[keep])
-                active[radii[stopped]] = False
-                summed = ls <= l_stop[radii, None]
-                corner_bound = max(corner_bound, float(bounds[keep][summed].max()))
-                with lock:
-                    radii = np.nonzero(active)[0]
-                    task = ahead(i + 1)
-                if radii.size == 0:
-                    break
-        finally:
-            with lock:
-                free = len(stacks)  # no claims once this thread stops or raises
-    helper.result()  # also a helper's exception on a stack past the last one added
+    pool = ThreadPoolExecutor(2, thread_name_prefix="area_law_scan")
+    pending = []  # (rows, future) of each stack submitted and not yet added, in l order
+    try:
+        for i, ls in enumerate(stacks):
+            # stacks i .. i + _IN_FLIGHT - 1 submitted, each for the radii active now
+            for k in range(i + len(pending), min(i + _IN_FLIGHT, len(stacks))):
+                pending.append((radii, pool.submit(_shell_terms, stacks[k], N, radii)))
+            rows, future = pending.pop(0)
+            entropies, bounds = future.result()  # a worker's exception, unchanged
+            keep = np.isin(rows, radii)
+            S[radii], prev[radii], l_stop[radii], stopped = _accumulate(
+                S[radii], prev[radii], ls, (2 * ls + 1) * entropies[keep])
+            active[radii[stopped]] = False
+            summed = ls <= l_stop[radii, None]
+            corner_bound = max(corner_bound, float(bounds[keep][summed].max()))
+            radii = np.nonzero(active)[0]
+            if radii.size == 0:
+                break
+    finally:
+        pool.shutdown(cancel_futures=True)  # joins both workers, also when a stack raises
     r = np.arange(N + 1) + 0.5
     samples = tuple((float(rv), float(sv)) for rv, sv in zip(r, S))
     lam = fit_area_coefficient(samples, _FIT_FRACTION * (N + 0.5))

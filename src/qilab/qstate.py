@@ -281,9 +281,18 @@ def _check_positive(name: str, value):
     return value
 
 
+def _check_real_array(name: str, values, rule: str) -> np.ndarray:
+    """`values` as a float array of integers and floats only: not bools,
+    text, complex numbers or other objects, which fail as "name must be rule"."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be {rule}, got dtype {a.dtype}")
+    return a.astype(float, copy=False)
+
+
 def _check_times(t_grid) -> np.ndarray:
     """`t_grid` as a one-dimensional float array of finite times."""
-    ts = np.asarray(t_grid, dtype=float)
+    ts = _check_real_array("t_grid", t_grid, "a one-dimensional sequence of finite times")
     if ts.ndim != 1 or not np.isfinite(ts).all():
         raise ValueError("t_grid must be a one-dimensional sequence of finite times")
     return ts

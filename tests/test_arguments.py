@@ -22,7 +22,8 @@ from qilab import oscillators as osc
 NON_INTEGERS = [math.nan, math.inf, True, 2.5]
 NON_FINITE = [math.nan, math.inf, -math.inf]
 NON_POSITIVE = [math.nan, -math.inf]
-BAD_GRIDS = [[0.0, math.nan], [math.inf], [-math.inf, 0.0]]
+BAD_GRIDS = [[0.0, math.nan], [math.inf], [-math.inf, 0.0], [0.0, 1j], ["0.5"], [True, False]]
+BAD_XS = [1j, [0.0, 1j], True, [True, False], "0.5", ["0.5"]]
 
 _FLIP = qstate.flip_circuit()
 _SETTINGS = bell.ChshSettings(0.1, 0.2, 0.3)
@@ -43,6 +44,7 @@ _ARGUMENTS = [
     ("nyquist_L", "N_phi", NON_INTEGERS, lambda v: lattice.nyquist_L(v)),
     ("hermite_eigenfunction", "level", NON_INTEGERS,
      lambda v: lattice.hermite_eigenfunction(v, 0.3)),
+    ("hermite_eigenfunction-x", "x", BAD_XS, lambda v: lattice.hermite_eigenfunction(2, v)),
     ("sampling_fidelity-n_q", "n_q", NON_INTEGERS, lambda v: lattice.sampling_fidelity(v, 3)),
     ("sampling_fidelity-n_levels", "n_levels", NON_INTEGERS,
      lambda v: lattice.sampling_fidelity(3, v)),

@@ -31,6 +31,7 @@ the repr keeps each field's type as well as its bits.  Regenerate with
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -163,7 +164,19 @@ def test_sampled_chsh_grid_matches_per_shot_route(kind, alpha, seed):
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_run_circuit_matches_golden(name, seed):
     want = (GOLDEN / f"seed{seed}" / f"run_circuit_{name}.json").read_text()
-    assert _run_json(name, seed) == want
+    got = _run_json(name, seed)
+    if got != want:
+        # not pytest's diff of the two records, which takes minutes a case
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        lo = max(at - 40, 0)
+        pytest.fail(f"run_circuit_{name}.json: sha256 {_sha256(got)}, want {_sha256(want)}; "
+                    f"first difference at offset {at}:\n got  {got[lo:at + 40]!r}\n want "
+                    f"{want[lo:at + 40]!r}", pytrace=False)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 if __name__ == "__main__":
