@@ -568,6 +568,32 @@ def test_a_slow_worker_leaves_the_other_taking_stacks_in_a_row(monkeypatch, N, l
     assert [k for k, worker in calls if worker == 1][:2] == [1, 2]
 
 
+def test_a_slow_calling_thread_leaves_the_helper_taking_stacks_in_a_row(monkeypatch):
+    # the calling thread only adds results.  It is held in adding stack i
+    # until the workers have taken stacks i + 1 .. i + _IN_FLIGHT - 1, which
+    # they do without it; every stack is added, on the calling thread
+    want = _area_law_scan_loop(12, 150)
+    calls, _ = _scheduled_shell_terms(monkeypatch)
+    accumulate = osc._accumulate
+    caller = threading.current_thread()
+    n_stacks = 150 // osc._L_STACK + 1
+    added = []
+
+    def held(S, prev, ls, terms):
+        i = int(ls[0]) // osc._L_STACK
+        ahead = set(range(i + 1, min(i + osc._IN_FLIGHT, n_stacks)))
+        deadline = time.monotonic() + 5.0
+        while not ahead <= {k for k, _ in calls} and time.monotonic() < deadline:
+            time.sleep(0.001)
+        added.append((i, threading.current_thread() is caller, ahead <= {k for k, _ in calls}))
+        return accumulate(S, prev, ls, terms)
+
+    monkeypatch.setattr(osc, "_accumulate", held)
+    _assert_equals_the_loop(osc.area_law_scan(12, 150), want)
+    assert added == [(i, True, True) for i in range(n_stacks)]
+    assert sorted(k for k, _ in calls) == list(range(n_stacks))
+
+
 def test_a_scan_of_one_stack_computes_it_once(monkeypatch):
     # l_max < _L_STACK: one stack, and nothing to submit after it
     want = _area_law_scan_loop(12, 10)
