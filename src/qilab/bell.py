@@ -84,8 +84,7 @@ class SampledChshResult(ChshResult):
 
 def entangled_state(alpha: float) -> StateVector:
     """Two-qubit state cos(alpha)|00> + sin(alpha)|11>."""
-    if not (qstate._is_real(alpha) and 0.0 <= alpha <= math.pi / 2):
-        raise ValueError(f"alpha must lie in [0, pi/2], got {alpha!r}")
+    qstate._check_interval("alpha", alpha, 0.0, math.pi / 2, "in [0, pi/2]")
     return StateVector(2, [math.cos(alpha), 0.0, 0.0, math.sin(alpha)])
 
 
@@ -112,8 +111,7 @@ def optimal_settings(alpha: float):
     boundary the maximum degenerates to 2 (no violation) and is still
     returned.
     """
-    if not (qstate._is_real(alpha) and 0.0 <= alpha <= math.pi / 2):
-        raise ValueError(f"alpha must lie in [0, pi/2], got {alpha!r}")
+    qstate._check_interval("alpha", alpha, 0.0, math.pi / 2, "in [0, pi/2]")
     s2a = math.sin(2.0 * alpha)
     norm = math.sqrt(1.0 + s2a * s2a)
     beta = math.atan2(s2a / norm, 1.0 / norm)
@@ -211,7 +209,7 @@ def violation_curve(alphas) -> list:
     Each row is the same, bit for bit, as the per-state route through
     from_statevector, partial_trace and von_neumann_entropy.
     """
-    alphas = qstate._check_real_array("alphas", alphas, "a one-dimensional sequence of angles")
+    alphas = qstate._check_array("alphas", alphas, "a one-dimensional sequence of angles")
     if alphas.ndim != 1:
         raise ValueError(f"alphas must be a one-dimensional sequence of angles, "
                          f"got shape {alphas.shape}")

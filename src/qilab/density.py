@@ -8,7 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .qstate import SimulationFault, StateVector, _bloch, _check_dim, _check_indices, _trace_out
+from .qstate import (SimulationFault, StateVector, _bloch, _check_array, _check_dim,
+                     _check_indices, _trace_out)
 
 __all__ = [
     "DensityMatrix",
@@ -35,7 +36,7 @@ class DensityMatrix:
     n_qubits: int = field(init=False)
 
     def __post_init__(self, check_psd: bool):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = _check_array("matrix", self.matrix, "complex numbers", complex)
         n = _check_dim("matrix", m, 0)
         _check_density(m)
         if check_psd and float(np.linalg.eigvalsh(m)[0]) < -_EIG_CLAMP:

@@ -133,7 +133,7 @@ def from_dense(matrix) -> HamiltonianSpec:
     """
     m = np.asarray(matrix)
     n = qstate._check_int("n_qubits", qstate._check_dim("matrix", m, 1), 1, _MAX_DENSE_QUBITS)
-    m = m.astype(complex, copy=False)
+    m = qstate._check_array("matrix", m, "complex numbers", complex)
     if not np.max(np.abs(m - m.conj().T)) <= 1e-12:  # NaN fails too
         raise ValueError("matrix must be Hermitian")
     coeffs = qstate._pauli_sums(m) / 2**n
@@ -326,8 +326,7 @@ def swap_measurement_demo(t: float, shots: int, seed: int):
     qubits are measured.  The sample correlation between the q0 and q1
     registers is 0.0 by convention when either register is constant.
     """
-    if not (qstate._is_real(t) and 0.0 <= t <= 2.0):
-        raise ValueError(f"t must lie in [0, 2], got {t!r}")
+    qstate._check_interval("t", t, 0.0, 2.0, "in [0, 2]")
     record = qstate.run_circuit(qstate.exchange_circuit(t), shots, seed)
     q0 = np.array([int(b) for b in record.registers["q0"]], dtype=float)
     q1 = np.array([int(b) for b in record.registers["q1"]], dtype=float)

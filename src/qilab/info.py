@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import entropy_bits
-from .qstate import _check_int, _is_int, _is_real
+from .qstate import _check_array, _check_int, _check_interval, _is_int
 
 __all__ = [
     "Distribution",
@@ -34,7 +34,7 @@ class Distribution:
     probabilities: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probabilities, dtype=float)
+        p = _check_array("probabilities", self.probabilities, "real numbers")
         if p.ndim != 1 or p.size < 1:
             raise ValueError("probabilities must be a nonempty 1-d array")
         if np.any(p < -1e-15):
@@ -69,9 +69,7 @@ class BitFlipNoise:
     mu: float
 
     def __post_init__(self) -> None:
-        mu = self.mu
-        if not (_is_real(mu) and 0.5 <= mu <= 1.0):
-            raise ValueError(f"mu must lie in [1/2, 1], got {mu!r}")
+        mu = _check_interval("mu", self.mu, 0.5, 1.0, "in [1/2, 1]")
         object.__setattr__(self, "mu", float(mu))
 
 

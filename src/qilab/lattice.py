@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import (PAULI, StateVector, _apply_local, _check_int, _check_real,
-                     _check_real_array, _check_times, _pauli_sums)
+from .qstate import (PAULI, StateVector, _apply_local, _check_array, _check_int, _check_real,
+                     _check_times, _pauli_sums)
 
 __all__ = [
     "PauliDecomposition",
@@ -124,7 +124,7 @@ def hermite_eigenfunction(n: int, x):
     verified stable range.
     """
     n = _check_int("level", n, 0, 60)
-    x = _check_real_array("x", x, "a real number or an array of real numbers")
+    x = _check_array("x", x, "a real number or an array of real numbers")
     return next(itertools.islice(_hermite_levels(x), n, None))
 
 
@@ -256,7 +256,8 @@ def schwinger_evolve(params: SchwingerParams, t_grid, initial=None) -> Evolution
     """p_i(t) = |<s_i| exp(-i H4 t) |initial>|^2 via the eigen propagator;
     initial (|s1> when omitted) is held to StateVector's rules."""
     t = _check_times(t_grid)
-    psi0 = np.asarray([1, 0, 0, 0] if initial is None else initial, dtype=complex)
+    psi0 = _check_array("initial state", [1, 0, 0, 0] if initial is None else initial,
+                        "complex numbers", complex)
     if psi0.shape != (4,):
         raise ValueError("initial state must be a 4-vector")
     psi0 = StateVector(2, psi0).amplitudes

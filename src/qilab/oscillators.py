@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import _check_indices, _check_int, _check_positive, _check_real, _is_int, _is_real
+from .qstate import (_check_array, _check_indices, _check_int, _check_interval, _check_positive,
+                     _check_real, _is_int)
 
 __all__ = [
     "CouplingMatrix",
@@ -46,7 +47,7 @@ class CouplingMatrix:
     n: int = field(init=False)
 
     def __post_init__(self) -> None:
-        K = np.asarray(self.K, dtype=float)
+        K = _check_array("K", self.K, "real numbers")
         if K.ndim != 2 or K.shape[0] != K.shape[1] or K.size == 0:
             raise ValueError(f"K must be a nonempty square matrix, got shape {K.shape}")
         if not np.isfinite(K).all():
@@ -123,8 +124,7 @@ def tfd_pair(theta: float, omega: float = 1.0) -> TfdPair:
     small-(1 - tan^2(theta/2)) expansion -log(eps) + 1 - eps/2, which
     captures the logarithmic divergence as theta -> pi/2.
     """
-    if not (_is_real(theta) and 0.0 < theta < math.pi / 2):
-        raise ValueError(f"theta must lie strictly inside (0, pi/2), got {theta!r}")
+    _check_interval("theta", theta, 0.0, math.pi / 2, "strictly inside (0, pi/2)", strict=True)
     _check_positive("omega", _check_real("omega", omega))
     sin, cos = math.sin(theta), math.cos(theta)
     omega_plus = omega * (1.0 + sin) / cos
@@ -148,8 +148,7 @@ def tfd_coupling(theta: float, omega: float = 1.0) -> CouplingMatrix:
     K = omega^2 [[1 + 2 tan^2 t, 2 tan t / cos t], [sym, same]]; its
     eigenvalues are omega_pm^2.
     """
-    if not (_is_real(theta) and 0.0 < theta < math.pi / 2):
-        raise ValueError(f"theta must lie strictly inside (0, pi/2), got {theta!r}")
+    _check_interval("theta", theta, 0.0, math.pi / 2, "strictly inside (0, pi/2)", strict=True)
     _check_positive("omega", _check_real("omega", omega))
     tan, cos = math.tan(theta), math.cos(theta)
     diag = 1.0 + 2.0 * tan**2
@@ -492,7 +491,7 @@ def area_law_scan(N: int, l_max: int) -> EntropyCurve:
     for determinism, and the terms of a stack past a radius's stop are
     dropped.  The endpoints r = 1/2 (keep everything, pure state) and
     r = R (keep nothing) are exactly 0, with no l_stop.
-    fit_lambda fits S = lambda r^2 over r < 0.975 R.  N must lie in
+    fit_lambda fits S = lambda r^2 over r < 0.975 R.  N must be in
     10..600 and l_max in 1..10^5 (_MAX_SCAN_N, _MAX_SCAN_L), checked
     before anything is allocated.
     """

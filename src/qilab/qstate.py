@@ -7,12 +7,12 @@ physical; comparisons go through Bloch vectors or overlap magnitudes.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import hashlib
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -120,7 +120,7 @@ class Gate:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = _check_array("gate matrix", self.matrix, "complex numbers", complex)
         if m.shape not in ((2, 2), (4, 4)):
             raise ValueError(f"gate matrix must be 2x2 or 4x4, got {m.shape}")
         # a NaN or inf entry leaves a NaN residual, so this test catches it too
@@ -192,7 +192,8 @@ class StateVector:
 
     def __post_init__(self):
         n = _check_int("n_qubits", self.n_qubits, 1)
-        a = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
+        a = _check_array("amplitudes", self.amplitudes, "complex numbers", complex)
+        a = a.reshape(-1).copy()
         if a.size != 2**n:
             raise ValueError(f"expected {2**n} amplitudes, got {a.size}")
         norm = float(np.linalg.norm(a))
@@ -259,40 +260,47 @@ def _check_dim(name: str, m: np.ndarray, lo: int) -> int:
 
 
 def _check_real(name: str, value):
-    """A real number: not a bool, a string or a complex; NaN and +-inf fail."""
-    if not (_is_real(value) and math.isfinite(value)):
+    """A real number: not a bool, a string or a complex; NaN, +-inf and 10**400 fail."""
+    if not (_is_real(value) and abs(value) <= sys.float_info.max):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 
 def _check_finite(name: str, value):
-    """A real or complex number, not a bool; NaN and +-inf fail (for
+    """A real or complex number, not a bool; NaN, +-inf and 10**400 fail (for
     Hamiltonian coefficients: every real argument takes _check_real)."""
-    if isinstance(value, bool) or not (isinstance(value, (float, numbers.Complex))
-                                       and cmath.isfinite(value)):
+    if isinstance(value, bool) or not (isinstance(value, (float, numbers.Complex)) and
+                                       abs(value.real) <= sys.float_info.max >= abs(value.imag)):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 
 def _check_positive(name: str, value):
-    """A real number above 0: NaN fails (NaN > 0 is False) and inf passes."""
-    if not (_is_real(value) and value > 0.0):
+    """A real number above 0: NaN (NaN > 0 is False) and 10**400 fail; inf passes."""
+    if not (_is_real(value) and (0.0 < value <= sys.float_info.max or value == math.inf)):
         raise ValueError(f"{name} must be positive, got {value!r}")
     return value
 
 
-def _check_real_array(name: str, values, rule: str) -> np.ndarray:
-    """`values` as a float array of integers and floats only: not bools,
-    text, complex numbers or other objects, which fail as "name must be rule"."""
+def _check_interval(name: str, value, lo: float, hi: float, shown: str, strict: bool = False):
+    """A real number in [lo, hi], or (lo, hi) if strict, not a bool or a string; NaN fails."""
+    if not (_is_real(value) and (lo < value < hi if strict else lo <= value <= hi)):
+        raise ValueError(f"{name} must lie {shown}, got {value!r}")
+    return value
+
+
+def _check_array(name: str, values, rule: str, dtype: type = float) -> np.ndarray:
+    """`values` as a `dtype` array of integers and floats, or complex numbers if dtype
+    is complex: bools, text and other objects fail as "name must be rule"."""
     a = np.asarray(values)
-    if a.dtype.kind not in "iuf":
+    if a.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
         raise ValueError(f"{name} must be {rule}, got dtype {a.dtype}")
-    return a.astype(float, copy=False)
+    return a.astype(dtype, copy=False)
 
 
 def _check_times(t_grid) -> np.ndarray:
     """`t_grid` as a one-dimensional float array of finite times."""
-    ts = _check_real_array("t_grid", t_grid, "a one-dimensional sequence of finite times")
+    ts = _check_array("t_grid", t_grid, "a one-dimensional sequence of finite times")
     if ts.ndim != 1 or not np.isfinite(ts).all():
         raise ValueError("t_grid must be a one-dimensional sequence of finite times")
     return ts

@@ -1,16 +1,18 @@
-"""Scalar arguments and time grids go through qstate's four argument rules.
+"""Scalar and array arguments go through qstate's argument rules.
 
 Each bad value must be a ValueError whose message starts with the
 argument's name.  Integer arguments refuse NaN, inf, True and 2.5;
-finite ones NaN and both infinities; positive ones NaN and -inf (inf is
-the zero-temperature limit of beta_omega, so it passes); time grids
-refuse a NaN or infinite time.  The rejection table holds every other
-rejection in src/, each with its whole message.  Every real argument,
-the interval-checked ones included, also refuses True and "0.5", and
-every positive one 0.0.
+finite ones NaN, both infinities and 10**400, an integer past the float
+range; positive ones NaN, -inf and 10**400 (inf is the zero-temperature
+limit of beta_omega, so it passes); time grids refuse a NaN or infinite
+time; arrays of numbers refuse text and bools, and real ones complex
+numbers.  The rejection table holds every other rejection in src/, each
+with its whole message.  Every real argument, the interval-checked ones
+included, also refuses True and "0.5", and every positive one 0.0.
 """
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,9 +21,10 @@ import pytest
 from qilab import bell, cli, density, dynamics, info, lattice, qstate
 from qilab import oscillators as osc
 
+BIG = 10**400  # float(BIG) overflows
 NON_INTEGERS = [math.nan, math.inf, True, 2.5]
-NON_FINITE = [math.nan, math.inf, -math.inf]
-NON_POSITIVE = [math.nan, -math.inf]
+NON_FINITE = [math.nan, math.inf, -math.inf, BIG]
+NON_POSITIVE = [math.nan, -math.inf, BIG]
 BAD_GRIDS = [[0.0, math.nan], [math.inf], [-math.inf, 0.0], [0.0, 1j], ["0.5"], [True, False]]
 BAD_XS = [1j, [0.0, 1j], True, [True, False], "0.5", ["0.5"]]
 
@@ -71,11 +74,24 @@ _ARGUMENTS = [
     ("reduced_evolution", "t_grid", BAD_GRIDS,
      lambda v: dynamics.reduced_evolution(_RABI, v, _RHO, [0])),
     ("schwinger_evolve", "t_grid", BAD_GRIDS, lambda v: lattice.schwinger_evolve(_PARAMS, v)),
+    # arrays of numbers, each bad value in its entry point's shape: text and
+    # bools, and complex numbers where the array is real
+    ("StateVector-amplitudes", "amplitudes", [["1", 0], [True, False]],
+     lambda v: qstate.StateVector(1, v)),
+    ("Gate-matrix", "gate matrix", [[["0", "1"], ["1", "0"]], [[False, True], [True, False]]],
+     lambda v: qstate.Gate("G", (), v)),
+    ("DensityMatrix-matrix", "matrix", [[["1"]], [[True]]], lambda v: density.DensityMatrix(v)),
+    ("from_dense-matrix", "matrix", [[["1", "0"], ["0", "1"]], [[True, False], [False, True]]],
+     lambda v: dynamics.from_dense(v)),
+    ("schwinger_evolve-initial", "initial state", [["1", 0, 0, 0], [True, False, False, False]],
+     lambda v: lattice.schwinger_evolve(_PARAMS, [0.0], v)),
+    ("Distribution", "probabilities", [["1"], [True], [1 + 0j]], lambda v: info.Distribution(v)),
+    ("CouplingMatrix", "K", [[["1"]], [[True]], [[1 + 0j]]], lambda v: osc.CouplingMatrix(v)),
 ]
 
 
 @pytest.mark.parametrize("name, call, value", [
-    pytest.param(name, call, value, id=f"{case}-{value!r}")
+    pytest.param(name, call, value, id=f"{case}-{'10**400' if value is BIG else repr(value)}")
     for case, name, values, call in _ARGUMENTS for value in values])
 def test_bad_arguments_are_rejected_by_name(name, call, value):
     with pytest.raises(ValueError, match=rf"^{name} must be"):
@@ -251,3 +267,12 @@ def test_an_interval_message_quotes_a_string(message, call):
     with pytest.raises(ValueError) as got:
         call()
     assert str(got.value) == message
+
+
+def test_the_largest_float_passes_the_real_rules():
+    # the edge of the float range that 10**400 is past
+    big = sys.float_info.max
+    assert bell.ChshSettings(big, -big, 0.0).beta == -big
+    h = dynamics.build_hamiltonian([(complex(big, big), "+"), (complex(big, -big), "-")])
+    assert h.matrix[0, 1] == complex(big, big)
+    assert osc.thermal_entropy(big) == 0.0

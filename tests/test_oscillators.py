@@ -468,23 +468,23 @@ def test_accumulate_never_stops_before_l_2():
 
 @pytest.mark.parametrize("N, l_max", [(12, 150), (10, 16), (10, 17), (20, 33), (60, 300)])
 def test_stacks_two_at_a_time_equal_one_stack_at_a_time(N, l_max):
-    # area_law_scan computes the second stack of each round on a helper
-    # thread for the radii active at the start of the round.  At (12, 150)
-    # and (60, 300) radii stop inside a round's first stack, so the
-    # helper's rows for them must be dropped; (10, 16), (10, 17) and
-    # (20, 33) end on a helper stack of one or two l, or on a round with
-    # no helper stack
+    # area_law_scan keeps _IN_FLIGHT stacks submitted to its two-worker
+    # pool, each for the radii active when it was submitted.  At (12, 150)
+    # and (60, 300) radii stop in a stack before the scan's last one, so
+    # the next stack, submitted with them among its rows, comes back with
+    # rows that np.isin must drop; at (10, 16), (10, 17) and (20, 33)
+    # every radius is capped, the scan has at most _IN_FLIGHT stacks and
+    # the last holds one or two l
     got = osc.area_law_scan(N, l_max)
     want = _area_law_scan_loop(N, l_max)
     for name in ("samples", "l_stop", "capped", "corner_bound", "fit_lambda"):
         assert getattr(got, name) == getattr(want, name), name
     assert got == want
     stack = osc._L_STACK
-    first_stack_stops = [
-        l for l, capped in zip(got.l_stop, got.capped)
-        if l is not None and not capped and l // stack % 2 == 0
-        and (l // stack + 1) * stack <= l_max]
-    assert bool(first_stack_stops) == (l_max >= 150)
+    last = max(l // stack for l in got.l_stop if l is not None)
+    dropped = [l for l, capped in zip(got.l_stop, got.capped)
+               if l is not None and not capped and l // stack < last]
+    assert bool(dropped) == (l_max >= 150)
 
 
 def _failing_shell_terms(monkeypatch, l0):
